@@ -1,27 +1,55 @@
 """Exhaustive graph-state search for stabilizer AME states at small (n, d).
 
-Candidates are weighted graphs: symmetric adjacency matrices over Z_d with
-zero diagonal. Each graph yields the stabilizer group with generators
-X_v * prod_u Z_u^(A[v][u]), always valid, and is checked with the symbolic
-AME verifier (early exit on the first bad subset).
+Candidates are weighted graphs: symmetric adjacency matrices A over Z_d with
+zero diagonal. The graph state of A is stabilized by the generators
+X_v * prod_u Z_u^(A[v][u]); their product with exponents c has X part c and
+Z part cA. So a non-identity element supported inside a k-set S, with
+k = floor(n/2), exists exactly when c -> c A[S, S^c] (mod d) is not injective,
+and the state is AME exactly when that map is injective for every k-set S.
+By McCoy's theorem the map is injective exactly when d and all k x k minors
+of A[S, S^c] have gcd 1. This is Helwig's qudit graph-state criterion
+(2013), generalized from prime d to Z_d. Note that no single minor need be a
+unit mod d, only their gcd with d must be 1.
+
+The search decodes chunks of candidates into numpy arrays and computes every
+maximal minor exactly, by cofactor expansion with a reduction mod d after
+every product. Only witnesses become :class:`GraphState` objects. The
+symbolic verifier in :mod:`stabame.ame` reaches the same verdicts on
+:func:`graph_to_group` and serves as the test oracle.
 
 Candidate order is row-major lexicographic on the upper-triangle entries,
 with the first entry most significant, so runs are reproducible and the
-space shards cleanly by index range.
+space shards cleanly by index range. The search budget bounds the number of
+candidates an exhaustive run visits, that is the size of the shard.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
-from .ame import DEFAULT_ENUM_LIMIT, verify_ame_symbolic
+import numpy as np
+
 from .errors import BudgetExceededError
 from .pauli import make_pauli
 from .ring import factorize
 from .stabgroup import StabilizerGroup
 
 DEFAULT_SEARCH_BUDGET = 10**8
+
+# Candidates tested together: at most MAX_CHUNK, and fewer when each one
+# carries many minors, so that no array of a chunk holds more than about
+# CHUNK_ELEMENTS entries and memory stays flat at large n.
+MAX_CHUNK = 4096
+CHUNK_ELEMENTS = 1 << 18
+# Up to this d a product of two residues fits in int64; above it the minors
+# are computed on Python ints (numpy object arrays).
+INT64_DIMENSION_LIMIT = 1 << 31
+# Index offsets inside a block of at most this many candidates are decoded in
+# int64; the digits above the block come from Python ints.
+INT64_BLOCK_LIMIT = 1 << 62
 
 
 def graph_search_is_complete(dimension: int) -> bool:
@@ -118,48 +146,141 @@ class SearchResult:
     exhausted: bool
 
 
+@dataclass(frozen=True)
+class _MinorPlan:
+    """Where the maximal minors of every block A[S, S^c] come from.
+
+    ``blocks[s, r, p]`` is the upper-triangle slot holding A[S[r], S^c[p]]
+    for the s-th tested k-set S. Level j of the cofactor expansion (one
+    entry of ``levels`` per row, j = 1..k) turns the minors on rows
+    S[0..j-2] into those on rows S[0..j-1]: for the c-th j-column set,
+    ``cols[c, t]`` is its t-th column, ``drop[c, t]`` the number of that set
+    without its t-th column among the (j-1)-column sets, and ``sign[t]`` the
+    cofactor sign (-1)^(j-1+t).
+    """
+
+    blocks: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    width: int  # entries per candidate in the largest array of the test
+
+
+@functools.cache
+def _minor_plan(parties: int) -> _MinorPlan:
+    k = parties // 2
+    m = parties - k
+    slot = {pair: s for s, pair in enumerate(combinations(range(parties), 2))}
+    subsets = list(combinations(range(parties), k))
+    if 2 * k == parties:
+        # A[S^c, S] is the transpose of the square block A[S, S^c], so S^c
+        # repeats the test of S: keep the half of the k-sets holding vertex 0.
+        subsets = [s for s in subsets if 0 in s]
+    blocks = np.empty((len(subsets), k, m), dtype=np.intp)
+    for i, rows in enumerate(subsets):
+        rest = [v for v in range(parties) if v not in rows]
+        for r, u in enumerate(rows):
+            for p, v in enumerate(rest):
+                blocks[i, r, p] = slot[min(u, v), max(u, v)]
+    levels = []
+    width = max(len(subsets), blocks.size)
+    for j in range(1, k + 1):
+        previous = {c: i for i, c in enumerate(combinations(range(m), j - 1))}
+        cols = list(combinations(range(m), j))
+        drop = [[previous[c[:t] + c[t + 1 :]] for t in range(j)] for c in cols]
+        sign = [(-1) ** (j - 1 + t) for t in range(j)]
+        levels.append(
+            (
+                np.array(cols, dtype=np.intp),
+                np.array(drop, dtype=np.intp),
+                np.array(sign, dtype=np.int64),
+            )
+        )
+        width = max(width, len(subsets) * len(cols) * j)
+    return _MinorPlan(blocks, tuple(levels), width)
+
+
+def _candidate_digits(
+    dimension: int, slots: int, low: int, first: int, stop: int, dtype
+) -> np.ndarray:
+    """Upper-triangle entries of candidates ``first .. stop-1``, one row each.
+
+    The last ``low`` digits are decoded from the offset inside a block of
+    d**low candidates in int64. The range lies inside one block, so the
+    leading digits are shared and decoded with Python ints: indices past
+    int64 decode exactly.
+    """
+    block, offset = divmod(first, dimension**low)
+    digits = np.empty((stop - first, slots), dtype=dtype)
+    digits[:, : slots - low] = [
+        block // dimension**p % dimension for p in range(slots - low - 1, -1, -1)
+    ]
+    if low:  # zero when n = 1 or d > INT64_BLOCK_LIMIT
+        offsets = offset + np.arange(stop - first, dtype=np.int64)
+        powers = np.array([dimension**p for p in range(low - 1, -1, -1)], dtype=np.int64)
+        digits[:, slots - low :] = offsets[:, None] // powers % dimension
+    return digits
+
+
+def _ame_mask(digits: np.ndarray, dimension: int, plan: _MinorPlan) -> np.ndarray:
+    """Per candidate row of ``digits``: do d and the maximal minors of each
+    block A[S, S^c] have gcd 1? Exact: every product is reduced mod d."""
+    blocks = digits[:, plan.blocks]  # (candidates, k-sets, k, n-k)
+    minors = np.ones(blocks.shape[:2] + (1,), dtype=digits.dtype)  # the 0 x 0 minor
+    for row, (cols, drop, sign) in enumerate(plan.levels):
+        terms = blocks[:, :, row, cols] * minors[:, :, drop] % dimension
+        minors = (terms * sign).sum(axis=-1) % dimension
+    return (np.gcd(np.gcd.reduce(minors, axis=-1), dimension) == 1).all(axis=-1)
+
+
 def search_ame(
     parties: int,
     dimension: int,
     mode: str = "exhaustive",
     shard: tuple[int, int] | None = None,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> SearchResult:
     """Scan graph states at (n, d) for AME witnesses.
 
-    ``mode="exhaustive"`` visits every candidate (or the given shard range);
-    ``mode="first"`` stops at the first witness. ``searched`` counts the
-    candidates actually checked; ``exhausted`` is True only when the whole
-    space was covered.
+    ``mode="exhaustive"`` visits every candidate of the shard range (default:
+    the whole space) and refuses a range larger than ``search_budget``;
+    ``mode="first"`` stops at the first witness and is not budget-gated.
+    ``searched`` counts the candidates up to and including the last one
+    checked; ``exhausted`` is True only when the whole space was covered.
     """
+    if parties < 1:
+        raise ValueError(f"parties must be >= 1, got {parties}")
+    if dimension < 2:
+        raise ValueError(f"dimension must be >= 2, got {dimension}")
     if mode not in ("exhaustive", "first"):
         raise ValueError(f"unknown mode {mode!r}")
-    total = dimension ** num_edge_slots(parties)
-    if mode == "exhaustive" and total > search_budget:
-        raise BudgetExceededError(
-            f"{total} candidates exceed the search budget of {search_budget}"
-        )
+    slots = num_edge_slots(parties)
+    total = dimension**slots
     start, end = (0, total) if shard is None else shard
     if not 0 <= start <= end <= total:
         raise ValueError(f"bad shard range {start}:{end} for {total} candidates")
-
-    found = []
-    searched = 0
-    stopped_early = False
-    for index in range(start, end):
-        graph = graph_from_index(dimension, parties, index)
-        verdict = verify_ame_symbolic(
-            graph_to_group(graph), enum_limit=enum_limit, validate_input=False
+    if mode == "exhaustive" and end - start > search_budget:
+        raise BudgetExceededError(
+            f"{end - start} candidates exceed the search budget of {search_budget}"
         )
-        searched += 1
-        if verdict.is_ame:
-            found.append(graph)
-            if mode == "first":
-                stopped_early = True
-                break
-    exhausted = (start, end) == (0, total) and not stopped_early
-    return SearchResult(tuple(found), searched, exhausted)
+
+    plan = _minor_plan(parties)
+    chunk = max(1, min(MAX_CHUNK, CHUNK_ELEMENTS // plan.width))
+    dtype = np.int64 if dimension <= INT64_DIMENSION_LIMIT else object
+    low = 0
+    while low < slots and dimension ** (low + 1) <= INT64_BLOCK_LIMIT:
+        low += 1
+    block = dimension**low
+    found = []
+    first = start
+    while first < end:
+        stop = min(end, first + chunk, (first // block + 1) * block)
+        digits = _candidate_digits(dimension, slots, low, first, stop, dtype)
+        hits = [first + int(h) for h in np.flatnonzero(_ame_mask(digits, dimension, plan))]
+        if mode == "first" and hits:
+            witness = graph_from_index(dimension, parties, hits[0])
+            return SearchResult((witness,), hits[0] - start + 1, False)
+        found.extend(graph_from_index(dimension, parties, h) for h in hits)
+        first = stop
+    return SearchResult(tuple(found), end - start, (start, end) == (0, total))
 
 
 def format_witness_line(graph: GraphState) -> str:

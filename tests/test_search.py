@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from stabame import search
 from stabame.ame import verify_ame_symbolic
 from stabame.errors import BudgetExceededError
 from stabame.search import (
@@ -118,6 +121,18 @@ def test_search_budget():
         search_ame(4, 3, mode="exhaustive", search_budget=100)
     # first-witness mode is not budget-gated
     assert search_ame(4, 3, mode="first", search_budget=100).found
+    # the budget bounds the shard, not the 4^15 candidates of the whole space
+    shard = search_ame(6, 4, shard=(0, 10))
+    assert format_search_report(6, 4, shard) == "PARTIAL n=6 d=4 searched=10 witnesses=0\n"
+    with pytest.raises(BudgetExceededError):
+        search_ame(6, 4, shard=(0, 11), search_budget=10)
+
+
+def test_search_rejects_bad_parameters():
+    with pytest.raises(ValueError):
+        search_ame(0, 2)
+    with pytest.raises(ValueError):
+        search_ame(2, 1)
 
 
 def test_search_rejects_unknown_mode():
@@ -163,3 +178,92 @@ def test_claim_strength_follows_completeness_flag():
     # a non-empty exhaustion never carries a claim line
     pair = search_ame(2, 2, mode="exhaustive")
     assert "NO-" not in format_search_report(2, 2, pair)
+
+
+def _symbolic_witnesses(parties, dimension, start, end):
+    """The graphs in [start, end) that verify_ame_symbolic calls AME.
+
+    ``enum_limit=1`` selects SNF kernel counting, which test_ame checks
+    against group enumeration and which is far faster on these groups.
+    """
+    graphs = (graph_from_index(dimension, parties, i) for i in range(start, end))
+    return tuple(
+        g
+        for g in graphs
+        if verify_ame_symbolic(graph_to_group(g), enum_limit=1, validate_input=False).is_ame
+    )
+
+
+@pytest.mark.parametrize(
+    "parties, dimension", [(3, d) for d in range(2, 13)] + [(4, 3), (5, 2)]
+)
+def test_block_minor_search_agrees_with_symbolic_verifier_on_full_cells(parties, dimension):
+    result = search_ame(parties, dimension)
+    total = dimension ** num_edge_slots(parties)
+    assert result.exhausted and result.searched == total
+    assert result.found == _symbolic_witnesses(parties, dimension, 0, total)
+
+
+@pytest.mark.parametrize("parties", range(2, 8))
+def test_block_minor_search_agrees_with_symbolic_verifier_on_random_shards(parties):
+    rng = random.Random(1000 + parties)  # exact draws past int64, e.g. 12^21 at n=7
+    for dimension in (4, 6, 8, 9, 12):
+        total = dimension ** num_edge_slots(parties)
+        size = min(20, total)
+        start = rng.randrange(total - size + 1)
+        result = search_ame(parties, dimension, shard=(start, start + size))
+        assert result.searched == size
+        assert result.found == _symbolic_witnesses(parties, dimension, start, start + size)
+
+
+def test_witness_whose_minors_are_not_units():
+    # AME over Z_6, yet for S = {2, 4} the 2x2 minors of A[S, S^c] are
+    # 3, 2, 0 mod 6: only their gcd with 6 is a unit, no single minor is.
+    graph = graph_from_upper(6, 5, [2, 3, 1, 2, 0, 5, 3, 2, 5, 4])
+    a = graph.adjacency
+    top, bottom = a[2][:2] + a[2][3:4], a[4][:2] + a[4][3:4]  # columns 0, 1, 3
+    minors = {
+        (top[i] * bottom[j] - top[j] * bottom[i]) % 6 for i, j in ((0, 1), (0, 2), (1, 2))
+    }
+    assert minors == {3, 2, 0}
+    assert verify_ame_symbolic(graph_to_group(graph)).is_ame
+    assert graph_from_index(6, 5, 25574722) == graph
+    assert search_ame(5, 6, shard=(25574722, 25574723)).found == (graph,)
+
+
+@pytest.mark.parametrize(
+    "parties, dimension, start, end",
+    [
+        (8, 5, 5**28 - 2, 5**28),  # the top of a space past int64
+        (8, 5, 5**26 - 3, 5**26 + 3),  # crosses a block of int64-decoded offsets
+        (2, 2**64 + 13, 0, 3),  # no digit fits int64
+    ],
+)
+def test_search_is_exact_past_int64(parties, dimension, start, end):
+    result = search_ame(parties, dimension, shard=(start, end))
+    assert result.searched == end - start
+    assert result.found == _symbolic_witnesses(parties, dimension, start, end)
+
+
+@pytest.mark.parametrize("dimension", [2**31 - 1, 2**40 + 15])
+def test_minors_of_large_residues_are_exact(dimension):
+    # For S = {0, 1} the block [[d-1, 1], [1, d-1]] has determinant
+    # (d-1)^2 - 1 = 0 mod d, and (d-1)^2 fits in int64 only for the first d.
+    upper = [1, dimension - 1, 1, 1, dimension - 1, 2]
+    index = sum(e * dimension ** (5 - p) for p, e in enumerate(upper))
+    assert graph_from_index(dimension, 4, index).upper_triangle() == tuple(upper)
+    assert search_ame(4, dimension, shard=(index, index + 1)).found == ()
+    start, end = index - 2, index + 3
+    found = search_ame(4, dimension, shard=(start, end)).found
+    assert found == _symbolic_witnesses(4, dimension, start, end)
+
+
+def test_search_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    full = search_ame(4, 3)
+    first = search_ame(4, 3, mode="first", shard=(50, 729))
+    monkeypatch.setattr(search, "MAX_CHUNK", 7)
+    assert search_ame(4, 3) == full
+    assert search_ame(4, 3, mode="first", shard=(50, 729)) == first
+    # the reported witness is the last candidate scanned and the only one
+    assert first.found == (graph_from_index(3, 4, 49 + first.searched),)
+    assert search_ame(4, 3, shard=(50, 50 + first.searched)).found == first.found
