@@ -8,8 +8,10 @@ factor (and every tensor product of factors) is AME as well.
 
 The symbolic AME criterion used here: a stabilizer state is AME exactly when
 no nonidentity group element is supported entirely inside any floor(n/2)-party
-subset. This is validated against the dense oracle in the test suite rather
-than assumed.
+subset. Every symbolic verdict counts those elements per subset from Smith
+normal forms of the exponent matrix, whatever the group order; the test suite
+checks it against element-by-element enumeration and against the dense oracle
+rather than assuming it.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from . import ring
-from .pauli import PauliProduct, multiply, power
+# multiply stays bound here: perfbench/selftest.py checks the tracer patches ame.multiply.
+from .pauli import PauliProduct, multiply  # noqa: F401
 from .stabgroup import (
     StabilizerGroup,
     embed_pauli,
-    enumerate_elements,
     exponent_matrix,
     format_generator_file,
+    generator_product,
     project_to_factor,
     sylow_component,
     validate,
@@ -40,8 +43,6 @@ from .statevec import (
     tensor,
     verify_ame_dense,
 )
-
-DEFAULT_ENUM_LIMIT = 20_000
 
 
 @dataclass(frozen=True)
@@ -105,26 +106,6 @@ def crt_coefficients(f: ring.PrimePowerFactorization) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _support_outside(p: PauliProduct, inside: frozenset[int]) -> bool:
-    return any(
-        (x or z) and k not in inside for k, (x, z) in enumerate(zip(p.x_exp, p.z_exp))
-    )
-
-
-def _symbolic_by_enumeration(g: StabilizerGroup, enum_limit: int) -> AmeVerdict:
-    elements = enumerate_elements(g, budget=enum_limit).elements
-    n = g.parties
-    for sub in combinations(range(n), n // 2):
-        inside = frozenset(sub)
-        offenders = [
-            e for e in elements if not e.is_identity() and not _support_outside(e, inside)
-        ]
-        if offenders:
-            witness = min(offenders, key=PauliProduct.sort_key)
-            return AmeVerdict(False, "symbolic", witness=witness, worst_subset=sub)
-    return AmeVerdict(True, "symbolic")
-
-
 def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
     """Count support-constrained group elements via SNF kernels, no enumeration.
 
@@ -147,9 +128,7 @@ def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
         if supported > 1:
             witness = None
             for c in ring.kernel_basis_mod(snf, d, k):
-                elem = PauliProduct.identity(d, n)
-                for gen, coeff in zip(g.generators, c):
-                    elem = multiply(elem, power(gen, coeff))
+                elem = generator_product(g, c)
                 if not elem.is_identity():
                     witness = elem
                     break
@@ -159,26 +138,17 @@ def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
     return AmeVerdict(True, "symbolic")
 
 
-def verify_ame_symbolic(
-    g: StabilizerGroup,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-    validate_input: bool = True,
-) -> AmeVerdict:
+def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
     """Exact AME check on the stabilizer group, no dense state needed.
 
-    Desk-scale groups are enumerated outright; larger ones use SNF kernel
-    counting per subset. Callers that construct provably valid groups (the
-    graph-state search) may skip input validation.
+    Validates the group, then counts the elements supported inside each
+    floor(n/2)-subset through SNF kernels (:func:`_symbolic_by_counting`).
+    A non-AME verdict names the first failing subset in ``combinations``
+    order and, as witness, the first non-identity product over a kernel basis
+    of that subset.
     """
-    if validate_input:
-        report = validate(g)
-        if not report.stabilizes_unique_state:
-            raise ValueError("group does not stabilize a unique state")
-        group_order = report.order
-    else:
-        group_order = g.dimension**g.parties
-    if group_order <= enum_limit:
-        return _symbolic_by_enumeration(g, enum_limit)
+    if not validate(g).stabilizes_unique_state:
+        raise ValueError("group does not stabilize a unique state")
     return _symbolic_by_counting(g)
 
 
@@ -187,7 +157,6 @@ def verify_ame(
     method: str = "symbolic",
     tol: float = 1e-9,
     dense_budget: int = DEFAULT_DENSE_BUDGET,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> AmeVerdict:
     """Dispatch to the symbolic checker, the dense checker, or both.
 
@@ -196,7 +165,7 @@ def verify_ame(
     """
     if method not in ("symbolic", "dense", "both"):
         raise ValueError(f"unknown method {method!r}")
-    sym = verify_ame_symbolic(g, enum_limit=enum_limit) if method != "dense" else None
+    sym = verify_ame_symbolic(g) if method != "dense" else None
     if method == "symbolic":
         return sym
     state = state_from_group(g, dense_budget=dense_budget)
@@ -262,21 +231,15 @@ def decompose(
     return FactorDecomposition(f, factor_groups, factor_states, perm)
 
 
-def reduce_ame(
-    g: StabilizerGroup,
-    dense: str | bool = "auto",
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> list[AmeVerdict]:
-    """Decompose and report the symbolic AME verdict of every factor.
+def reduce_ame(g: StabilizerGroup, dec: FactorDecomposition) -> list[AmeVerdict]:
+    """Report the symbolic AME verdict of every factor of ``dec = decompose(g)``.
 
     When the input itself is AME, every factor must be AME; a factor that is
     not would contradict the prime-power reduction property and raises as a fatal
     inconsistency.
     """
-    input_verdict = verify_ame_symbolic(g, enum_limit=enum_limit)
-    dec = decompose(g, dense=dense, dense_budget=dense_budget)
-    verdicts = [verify_ame_symbolic(fg, enum_limit=enum_limit) for fg in dec.factor_groups]
+    input_verdict = verify_ame_symbolic(g)
+    verdicts = [verify_ame_symbolic(fg) for fg in dec.factor_groups]
     if input_verdict.is_ame and not all(v.is_ame for v in verdicts):
         bad = [dec.factorization.prime_powers[i] for i, v in enumerate(verdicts) if not v.is_ame]
         raise RuntimeError(
@@ -292,11 +255,7 @@ class MergeResult:
     state: DenseState | None
 
 
-def merge_factors(
-    dec: FactorDecomposition,
-    subset: Sequence[int],
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> MergeResult:
+def merge_factors(dec: FactorDecomposition, subset: Sequence[int]) -> MergeResult:
     """Recombine a nonempty subset of factors into a group over the product dimension.
 
     The merged group is the image of the chosen factor groups under the
@@ -331,11 +290,9 @@ def merge_factors(
             inverse[target] = j
         state = permute_levels(combined, inverse)
 
-    factor_verdicts = [
-        verify_ame_symbolic(dec.factor_groups[i], enum_limit=enum_limit) for i in chosen
-    ]
+    factor_verdicts = [verify_ame_symbolic(dec.factor_groups[i]) for i in chosen]
     if all(v.is_ame for v in factor_verdicts):
-        merged_verdict = verify_ame_symbolic(group, enum_limit=enum_limit)
+        merged_verdict = verify_ame_symbolic(group)
         if not merged_verdict.is_ame:
             raise RuntimeError(
                 "merge of AME factors is not AME; this contradicts the prime-power "

@@ -100,10 +100,7 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     group = _read_group(args.gens)
     dec = ame.decompose(group, dense="auto", dense_budget=args.dense_budget)
-    if args.verify:
-        verdicts = ame.reduce_ame(group, dense=False)
-    else:
-        verdicts = []
+    verdicts = ame.reduce_ame(group, dec) if args.verify else []
     text = ame.format_decomposition_report(dec, verdicts)
     _write_output(text, args.out)
     return 0

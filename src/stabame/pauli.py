@@ -165,18 +165,16 @@ def dense_matrix(p: PauliProduct, max_dim: int = DEFAULT_MATRIX_DIM_BUDGET) -> n
     return np.exp(1j * np.pi * p.phase_exp / d) * mat
 
 
-def apply_to_vector(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
-    """Apply p to a state vector of length D**n without building the matrix.
+def vector_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
+    """Index map and phases of p on the D**n computational basis states.
 
-    On basis states: p |j_1..j_n> = lam**phase * omega**(z . j) |j - x mod D>.
-    Matches ``dense_matrix(p) @ vec`` exactly (up to float roundoff).
+    On basis states: p |j_1..j_n> = lam**phase * omega**(z . j) |j - x mod D>,
+    so p @ vec is ``out[target] = phases * vec``; callers that apply the same
+    element many times compute this pair once.
     """
     d = p.dimension
     n = p.parties
     size = d**n
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (size,):
-        raise ValueError(f"expected vector of length {size}, got shape {vec.shape}")
     idx = np.arange(size)
     target = np.zeros(size, dtype=np.int64)
     z_weight = np.zeros(size, dtype=np.int64)
@@ -186,6 +184,20 @@ def apply_to_vector(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
         target += ((digit - p.x_exp[k]) % d) * w
         z_weight += p.z_exp[k] * digit
     phases = np.exp(1j * np.pi * p.phase_exp / d) * np.exp(2j * np.pi * (z_weight % d) / d)
+    return target, phases
+
+
+def apply_to_vector(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
+    """Apply p to a state vector of length D**n without building the matrix.
+
+    Matches ``dense_matrix(p) @ vec`` exactly (up to float roundoff); see
+    :func:`vector_action`.
+    """
+    size = p.dimension**p.parties
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (size,):
+        raise ValueError(f"expected vector of length {size}, got shape {vec.shape}")
+    target, phases = vector_action(p)
     out = np.empty(size, dtype=complex)
     out[target] = phases * vec
     return out

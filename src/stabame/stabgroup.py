@@ -1,19 +1,19 @@
-"""Stabilizer groups over Z_D: validation, enumeration, Sylow components.
+"""Stabilizer groups over Z_D: validation, Sylow components, the generator file format.
 
 A generator list claims to stabilize a unique state when the generated group
 is abelian, phase-consistent (no lam**g * identity with g != 0 in the group),
-and has order exactly D**n. The order is computed from the Smith normal form
-of the integer exponent matrix, so validation does not require enumerating the
-group; enumeration is kept as a desk-scale oracle.
+and has order exactly D**n. The order comes from the Smith normal form of the
+integer exponent matrix and phase consistency from products over a basis of
+the relation lattice, so no group is ever listed element by element.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import ring
-from .errors import BudgetExceededError, PhaseConventionError
+from .errors import PhaseConventionError
 from .pauli import (
     PauliProduct,
     format_pauli,
@@ -23,8 +23,6 @@ from .pauli import (
     power,
     symplectic_inner,
 )
-
-DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -49,16 +47,17 @@ class ValidityReport:
     stabilizes_unique_state: bool
 
 
-@dataclass(frozen=True)
-class GroupElementSet:
-    """Complete element list of a generated group (desk scale only)."""
-
-    elements: tuple[PauliProduct, ...]
-
-
 def exponent_matrix(g: StabilizerGroup) -> list[list[int]]:
     """Integer matrix with one row (x_1..x_n, z_1..z_n) per generator."""
     return [list(gen.x_exp) + list(gen.z_exp) for gen in g.generators]
+
+
+def generator_product(g: StabilizerGroup, coeffs: Sequence[int]) -> PauliProduct:
+    """The group element prod_j gen_j**c_j, multiplied in generator order."""
+    elem = PauliProduct.identity(g.dimension, g.parties)
+    for gen, coeff in zip(g.generators, coeffs):
+        elem = multiply(elem, power(gen, coeff))
+    return elem
 
 
 def _relation_elements(g: StabilizerGroup, snf: ring.SmithNormalForm):
@@ -68,13 +67,9 @@ def _relation_elements(g: StabilizerGroup, snf: ring.SmithNormalForm):
     each yields a group element with zero exponents whose phase must vanish
     for the group to be phase-consistent.
     """
-    d = g.dimension
-    k = len(g.generators)
     out = []
-    for c in ring.kernel_basis_mod(snf, d, k):
-        elem = PauliProduct.identity(d, g.parties)
-        for gen, coeff in zip(g.generators, c):
-            elem = multiply(elem, power(gen, coeff))
+    for c in ring.kernel_basis_mod(snf, g.dimension, len(g.generators)):
+        elem = generator_product(g, c)
         if not elem.is_phase_only():
             raise AssertionError("relation product must have zero exponents")
         out.append(elem)
@@ -102,26 +97,6 @@ def validate(g: StabilizerGroup) -> ValidityReport:
     phase_consistent = all(e.phase_exp == 0 for e in _relation_elements(g, snf))
     full = order == g.dimension**g.parties
     return ValidityReport(abelian, order, phase_consistent, abelian and phase_consistent and full)
-
-
-def enumerate_elements(
-    g: StabilizerGroup, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> GroupElementSet:
-    """Breadth-first closure under multiplication from identity and the generators."""
-    seen = {PauliProduct.identity(g.dimension, g.parties)}
-    queue = deque(seen)
-    while queue:
-        cur = queue.popleft()
-        for gen in g.generators:
-            nxt = multiply(cur, gen)
-            if nxt not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceededError(
-                        f"group enumeration exceeds budget of {budget} elements"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return GroupElementSet(tuple(sorted(seen, key=PauliProduct.sort_key)))
 
 
 def sylow_component(

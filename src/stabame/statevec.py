@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .pauli import apply_to_vector, order
+from .pauli import order, vector_action
 from .stabgroup import StabilizerGroup, validate
 
 DEFAULT_DENSE_BUDGET = 100_000
@@ -115,15 +115,17 @@ def state_from_group(
     size = g.dimension**g.parties
     if size > dense_budget:
         raise BudgetExceededError(f"dense size {size} exceeds budget {dense_budget}")
-    orders = [order(gen) for gen in g.generators]
+    actions = [(vector_action(gen), order(gen)) for gen in g.generators]
     for seed in range(size):
         vec = np.zeros(size, dtype=complex)
         vec[seed] = 1.0
-        for gen, m in zip(g.generators, orders):
+        for (target, phases), m in actions:
             acc = vec.copy()
             cur = vec
             for _ in range(m - 1):
-                cur = apply_to_vector(gen, cur)
+                nxt = np.empty(size, dtype=complex)
+                nxt[target] = phases * cur
+                cur = nxt
                 acc += cur
             vec = acc / m
         norm = np.linalg.norm(vec)
@@ -268,6 +270,8 @@ def format_state_dump(state: DenseState) -> str:
 
 def parse_state_dump(text: str) -> DenseState:
     body = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not body:
+        raise ValueError("empty state dump")
     head = body[0].split()
     if len(head) != 2:
         raise ValueError(f"bad state dump header {body[0]!r}")

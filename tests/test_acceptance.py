@@ -74,9 +74,9 @@ def test_criterion_2_ame_preservation_under_reduction():
     started = time.perf_counter()
     group = bell_group(6)
     assert verify_ame_symbolic(group).is_ame
-    verdicts = reduce_ame(group)
-    assert [v.is_ame for v in verdicts] == [True, True]
     dec = decompose(group)
+    verdicts = reduce_ame(group, dec)
+    assert [v.is_ame for v in verdicts] == [True, True]
     for subset in ([0], [1], [0, 1]):
         merged = merge_factors(dec, subset)
         assert verify_ame_symbolic(merged.group).is_ame

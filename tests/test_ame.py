@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, random_graph_group, ref_x_matrix, ref_z_matrix
+from enumeration import first_supported_subset
 from stabame.ame import (
     crt_coefficients,
     crt_unitary,
@@ -14,10 +15,11 @@ from stabame.ame import (
 )
 from stabame.pauli import make_pauli, single_site
 from stabame.ring import factorize
-from stabame.search import graph_to_group
+from stabame.search import GraphState, graph_to_group, num_edge_slots, search_ame
 from stabame.stabgroup import (
     StabilizerGroup,
     bell_group,
+    generator_product,
     ghz_group,
     parse_generator_file,
     validate,
@@ -115,26 +117,79 @@ def test_symbolic_no_graph_state_ame_4_2():
     assert hits == 0
 
 
+def _assert_matches_enumeration(g):
+    """verify_ame_symbolic against the enumeration oracle: the same verdict,
+    the same first failing subset in combinations order, and a witness that
+    is a non-identity group element supported inside that subset."""
+    verdict = verify_ame_symbolic(g)
+    subset, offenders = first_supported_subset(g)
+    assert verdict.is_ame == (subset is None)
+    assert verdict.worst_subset == subset
+    if subset is None:
+        assert verdict.witness is None
+    else:
+        assert verdict.witness in offenders
+
+
 def test_symbolic_enumeration_and_counting_paths_agree():
     rng = np.random.default_rng(61)
     for d in (2, 3, 4, 6):
         for n in (2, 3, 4):
             for _ in range(4):
-                g = random_graph_group(rng, d, n)
-                via_enum = verify_ame_symbolic(g, enum_limit=10**6)
-                via_count = verify_ame_symbolic(g, enum_limit=1)  # force SNF counting
-                assert via_enum.is_ame == via_count.is_ame
-                if not via_enum.is_ame:
-                    # both witnesses must actually be supported counterexamples
-                    for verdict in (via_enum, via_count):
-                        w = verdict.witness
-                        assert not w.is_identity()
-                        outside = [
-                            k
-                            for k in range(n)
-                            if (w.x_exp[k] or w.z_exp[k]) and k not in verdict.worst_subset
-                        ]
-                        assert outside == []
+                _assert_matches_enumeration(random_graph_group(rng, d, n))
+
+
+def _unimodular_mix(rng, g):
+    """The same group on generators changed by a random unimodular matrix."""
+    d, n = g.dimension, g.parties
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(3 * n):
+        i, j = rng.choice(n, size=2, replace=False)
+        u[i] = (u[i] + int(rng.integers(1, d)) * u[j]) % d
+    return StabilizerGroup(
+        d, n, tuple(generator_product(g, [int(c) for c in row]) for row in u[rng.permutation(n)])
+    )
+
+
+def _ame_graph(rng, d, n):
+    """CRT combination of random AME graphs at the prime-power factors of d,
+    each drawn by rejection sampling with the block-minor search as judge."""
+    total = np.zeros((n, n), dtype=np.int64)
+    for _, _, q in factorize(d).factors:
+        size = q ** num_edge_slots(n)
+        found = ()
+        while not found:
+            index = int(rng.integers(0, size))
+            found = search_ame(n, q, shard=(index, index + 1)).found
+        t = d // q
+        total += t * pow(t, -1, q) * np.array(found[0].adjacency, dtype=np.int64)
+    return GraphState(d, n, tuple(tuple(int(v) for v in row) for row in total % d))
+
+
+# (n, D, kind) with D^n <= 5 000: prime, prime-power and composite D. "ame"
+# cells combine AME graphs at every prime-power factor (composite D only at
+# n <= 3, where that stays under the size cap); "random" graphs are mostly
+# not AME and fail at some subset.
+MIXED_SWEEP = [
+    (2, 6, "ame"), (2, 30, "ame"), (3, 2, "ame"), (3, 6, "ame"), (3, 9, "ame"),
+    (3, 10, "ame"), (3, 12, "ame"), (3, 17, "ame"), (4, 3, "ame"), (4, 5, "ame"),
+    (4, 7, "ame"), (5, 2, "ame"), (5, 3, "ame"), (6, 2, "ame"), (6, 3, "ame"),
+    (3, 4, "random"), (3, 15, "random"), (4, 4, "random"), (4, 6, "random"),
+    (4, 8, "random"), (5, 4, "random"), (5, 5, "random"), (6, 3, "random"),
+    (6, 4, "random"), (7, 2, "random"), (7, 3, "random"), (8, 2, "random"),
+    (10, 2, "random"), (12, 2, "random"),
+]
+
+
+@pytest.mark.parametrize("parties, dimension, kind", MIXED_SWEEP)
+def test_symbolic_verifier_matches_enumeration_on_mixed_graph_groups(parties, dimension, kind):
+    rng = np.random.default_rng(1000 * parties + dimension)
+    for _ in range(2):
+        graph = (_ame_graph if kind == "ame" else random_graph)(rng, dimension, parties)
+        g = _unimodular_mix(rng, graph_to_group(graph))
+        if kind == "ame":
+            assert verify_ame_symbolic(g).is_ame
+        _assert_matches_enumeration(g)
 
 
 def test_symbolic_agrees_with_dense_random():
@@ -202,12 +257,14 @@ def test_decompose_without_dense():
 
 
 def test_reduce_ame_bell6():
-    verdicts = reduce_ame(bell_group(6))
+    g = bell_group(6)
+    verdicts = reduce_ame(g, decompose(g))
     assert [v.is_ame for v in verdicts] == [True, True]
 
 
 def test_reduce_ame_ghz6():
-    verdicts = reduce_ame(ghz_group(6, 3))
+    g = ghz_group(6, 3)
+    verdicts = reduce_ame(g, decompose(g))
     assert [v.is_ame for v in verdicts] == [True, True]
 
 
@@ -215,7 +272,7 @@ def test_reduce_ame_non_ame_input_is_vacuous():
     g = StabilizerGroup(
         6, 2, (single_site(6, 2, 0, z=1), single_site(6, 2, 1, z=1))
     )
-    verdicts = reduce_ame(g)  # must not raise
+    verdicts = reduce_ame(g, decompose(g))  # must not raise
     assert len(verdicts) == 2
 
 
@@ -260,7 +317,7 @@ def test_prime_power_reduction_end_to_end():
         assert verify_ame_symbolic(g).is_ame
         dec = decompose(g)
         m = dec.factorization.num_factors
-        verdicts = reduce_ame(g)
+        verdicts = reduce_ame(g, dec)
         assert all(v.is_ame for v in verdicts)
         for size in range(1, m + 1):
             for subset in combinations(range(m), size):
@@ -276,7 +333,7 @@ def test_prime_power_reduction_end_to_end():
 def test_decomposition_report_format():
     g = ghz_group(6, 3)
     dec = decompose(g)
-    verdicts = reduce_ame(g)
+    verdicts = reduce_ame(g, dec)
     text = format_decomposition_report(dec, verdicts)
     lines = text.splitlines()
     assert lines[0] == "factorization D=6 n=3 factors=2^1,3^1"

@@ -183,15 +183,10 @@ def test_claim_strength_follows_completeness_flag():
 def _symbolic_witnesses(parties, dimension, start, end):
     """The graphs in [start, end) that verify_ame_symbolic calls AME.
 
-    ``enum_limit=1`` selects SNF kernel counting, which test_ame checks
-    against group enumeration and which is far faster on these groups.
+    test_ame checks verify_ame_symbolic against group enumeration.
     """
     graphs = (graph_from_index(dimension, parties, i) for i in range(start, end))
-    return tuple(
-        g
-        for g in graphs
-        if verify_ame_symbolic(graph_to_group(g), enum_limit=1, validate_input=False).is_ame
-    )
+    return tuple(g for g in graphs if verify_ame_symbolic(graph_to_group(g)).is_ame)
 
 
 @pytest.mark.parametrize(

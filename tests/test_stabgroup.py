@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_graph_group, random_pauli
-from stabame.errors import BudgetExceededError, PhaseConventionError
+from enumeration import enumerate_elements
+from stabame.errors import PhaseConventionError
 from stabame.pauli import PauliProduct, dense_matrix, make_pauli, multiply, single_site, symplectic_inner
 from stabame.ring import factorize
 from stabame.stabgroup import (
     StabilizerGroup,
     bell_group,
     embed_pauli,
-    enumerate_elements,
     format_generator_file,
     ghz_group,
     parse_generator_file,
@@ -65,31 +65,6 @@ def test_validate_empty_generator_list():
 def test_group_constructor_rejects_mismatched_generators():
     with pytest.raises(ValueError):
         StabilizerGroup(2, 2, (PauliProduct.identity(3, 2),))
-
-
-def test_enumerate_bell_elements():
-    elements = enumerate_elements(xx_zz_group()).elements
-    assert len(elements) == 4
-    keys = {(e.phase_exp, e.x_exp, e.z_exp) for e in elements}
-    # I, XX, ZZ, and (XZ)x(XZ) which is -YxY
-    assert keys == {
-        (0, (0, 0), (0, 0)),
-        (0, (1, 1), (0, 0)),
-        (0, (0, 0), (1, 1)),
-        (0, (1, 1), (1, 1)),
-    }
-
-
-def test_enumerate_cyclic_and_trivial():
-    x6 = StabilizerGroup(6, 1, (single_site(6, 1, 0, x=1),))
-    assert len(enumerate_elements(x6).elements) == 6
-    trivial = StabilizerGroup(6, 1, ())
-    assert enumerate_elements(trivial).elements == (PauliProduct.identity(6, 1),)
-
-
-def test_enumerate_budget():
-    with pytest.raises(BudgetExceededError):
-        enumerate_elements(ghz_group(6, 3), budget=10)
 
 
 def test_validate_order_matches_enumeration_random():
@@ -175,16 +150,6 @@ def test_sylow_components_generate_original():
         assert set(regenerated) == set(enumerate_elements(g).elements)
 
 
-def test_enumerated_set_is_closed_under_multiplication():
-    rng = np.random.default_rng(113)
-    for g in (bell_group(3), random_graph_group(rng, 4, 2)):
-        elements = enumerate_elements(g).elements
-        pool = set(elements)
-        idx = rng.integers(0, len(elements), size=(20, 2))
-        for i, j in idx:
-            assert multiply(elements[i], elements[j]) in pool
-
-
 def test_project_pauli_identity_and_x_cubed():
     f = factorize(6)
     ident = PauliProduct.identity(6, 1)
@@ -267,6 +232,8 @@ def test_generator_file_roundtrip():
 def test_generator_file_rejects_malformed():
     with pytest.raises(ValueError):
         parse_generator_file("")
+    with pytest.raises(ValueError):
+        parse_generator_file("# comment only\n\n")
     with pytest.raises(ValueError):
         parse_generator_file("2 2\n")
     with pytest.raises(ValueError):

@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_graph_group
+from enumeration import enumerate_elements
 from stabame.errors import BudgetExceededError
 from stabame.pauli import apply_to_vector, make_pauli, single_site
-from stabame.stabgroup import (
-    StabilizerGroup,
-    bell_group,
-    enumerate_elements,
-    ghz_group,
-)
+from stabame.stabgroup import StabilizerGroup, bell_group, ghz_group
 from stabame.statevec import (
     DenseState,
     apply_local_unitary,
@@ -261,6 +257,15 @@ def test_state_dump_roundtrip():
     again = parse_state_dump(format_state_dump(st))
     assert again.dimension == 3 and again.parties == 2
     assert np.abs(again.amplitudes - st.amplitudes).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n\n", "# comment only\n", "3 2\n", "# dump\n2 1\n", "2\n1.0 0.0\n0.0 0.0\n"],
+)
+def test_state_dump_rejects_empty_and_truncated(text):
+    with pytest.raises(ValueError):
+        parse_state_dump(text)
 
 
 def test_fidelity_global_phase():
