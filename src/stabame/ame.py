@@ -8,10 +8,12 @@ factor (and every tensor product of factors) is AME as well.
 
 The symbolic AME criterion used here: a stabilizer state is AME exactly when
 no nonidentity group element is supported entirely inside any floor(n/2)-party
-subset. Every symbolic verdict counts those elements per subset from Smith
-normal forms of the exponent matrix, whatever the group order; the test suite
-checks it against element-by-element enumeration and against the dense oracle
-rather than assuming it.
+subset. Every symbolic verdict counts those elements per subset, whatever the
+group order, from the order of the span of the exponent columns outside the
+subset (a transform-free diagonalization mod D); only the first failing
+subset gets a Smith normal form, for its witness. The test suite checks the
+verdicts against element-by-element enumeration and against the dense oracle
+rather than assuming them.
 """
 
 from __future__ import annotations
@@ -107,25 +109,25 @@ def crt_coefficients(f: ring.PrimePowerFactorization) -> tuple[int, ...]:
 
 
 def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
-    """Count support-constrained group elements via SNF kernels, no enumeration.
+    """Find the first floor(n/2)-subset supporting a nonidentity element.
 
-    The number of group elements supported inside S equals the number of
-    coefficient vectors solving c @ M_outside = 0 (mod D), divided by the
-    number solving c @ M = 0 (mod D).
+    ``g`` is validated, so its exponent vectors span a subgroup of order
+    D**n with one element per vector. The elements supported inside S are
+    the kernel of restricting the exponents to the columns outside S, so
+    there are D**n / |span of M_outside| of them and S fails exactly when
+    the outside columns span fewer than D**n vectors. Only the first failing
+    subset gets a Smith normal form, to build the witness from its kernel.
     """
     d = g.dimension
     n = g.parties
     k = len(g.generators)
+    full = d**n
     matrix = exponent_matrix(g)
-    full_kernel = ring.kernel_solution_count(
-        ring.smith_normal_form(matrix).diagonal, d, k
-    )
     for sub in combinations(range(n), n // 2):
         outside_cols = [c for c in range(2 * n) if (c % n) not in sub]
         restricted = [[row[c] for c in outside_cols] for row in matrix]
-        snf = ring.smith_normal_form(restricted)
-        supported = ring.kernel_solution_count(snf.diagonal, d, k) // full_kernel
-        if supported > 1:
+        if ring.span_order_mod(restricted, d) < full:
+            snf = ring.smith_normal_form(restricted)
             witness = None
             for c in ring.kernel_basis_mod(snf, d, k):
                 elem = generator_product(g, c)
@@ -133,7 +135,7 @@ def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
                     witness = elem
                     break
             if witness is None:  # pragma: no cover - generation argument forbids this
-                raise AssertionError("support count > 1 but no witness in the basis")
+                raise AssertionError("subset supports elements but no witness in the basis")
             return AmeVerdict(False, "symbolic", witness=witness, worst_subset=sub)
     return AmeVerdict(True, "symbolic")
 
@@ -141,8 +143,9 @@ def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
 def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
     """Exact AME check on the stabilizer group, no dense state needed.
 
-    Validates the group, then counts the elements supported inside each
-    floor(n/2)-subset through SNF kernels (:func:`_symbolic_by_counting`).
+    Validates the group (once per group object), then asks of each
+    floor(n/2)-subset whether the exponents outside it still span D**n
+    vectors (:func:`_symbolic_by_counting`).
     A non-AME verdict names the first failing subset in ``combinations``
     order and, as witness, the first non-identity product over a kernel basis
     of that subset.

@@ -134,11 +134,12 @@ def propagate(
             )
         table.setdefault(key, fact)
 
+    prime_powers = {dim: ring.factorize(dim).prime_powers for dim in range(2, max_dim + 1)}
     cells: dict[tuple[int, int], Cell] = {}
     for n in range(2, max_parties + 1):
         for dim in range(2, max_dim + 1):
             reasons = []
-            for _, _, q in ring.factorize(dim).factors:
+            for q in prime_powers[dim]:
                 fact = negative.get((n, q))
                 if fact is not None:
                     reasons.append(f"factor q={q} [{fact.source or fact.status}]")

@@ -119,16 +119,20 @@ def multiply(a: PauliProduct, b: PauliProduct) -> PauliProduct:
 
 
 def power(p: PauliProduct, k: int) -> PauliProduct:
-    """p**k for any integer k (every element satisfies p**(2D) = identity)."""
-    k %= 2 * p.dimension
-    result = PauliProduct.identity(p.dimension, p.parties)
-    base = p
-    while k:
-        if k & 1:
-            result = multiply(result, base)
-        base = multiply(base, base)
-        k >>= 1
-    return result
+    """p**k for any integer k, in closed form.
+
+    (X**x Z**z)**k = omega**(-k(k-1)/2 * z.x) X**(kx) Z**(kz), from moving
+    each Z past the later X's, so the phase exponent is
+    k*gamma - k(k-1)(z.x) mod 2D. Every element satisfies p**(2D) = identity,
+    so k is reduced mod 2D first.
+    """
+    d = p.dimension
+    k %= 2 * d
+    zx = sum(z * x for z, x in zip(p.z_exp, p.x_exp))
+    phase = (k * p.phase_exp - k * (k - 1) * zx) % (2 * d)
+    x = tuple(k * v % d for v in p.x_exp)
+    z = tuple(k * v % d for v in p.z_exp)
+    return PauliProduct(d, p.parties, phase, x, z)
 
 
 def symplectic_inner(a: PauliProduct, b: PauliProduct) -> int:

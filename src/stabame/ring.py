@@ -1,9 +1,12 @@
-"""Exact integer arithmetic: factorization, CRT, and Smith normal form.
+"""Exact integer arithmetic: factorization, CRT, Smith normal form, span orders.
 
 Everything here is pure and exact (Python big integers, no floats). These
-primitives back the stabilizer-group order computation, the Chinese-remainder
-splitting of composite local dimensions, and the Sylow idempotents used to
-pull prime-power components out of abelian Pauli subgroups.
+primitives back the stabilizer-group order computation (Smith normal form
+with transforms, whose left transform also yields relation and kernel
+bases), the transform-free span order mod D that the symbolic AME verifier
+evaluates per subset, the Chinese-remainder splitting of composite local
+dimensions, and the Sylow idempotents used to pull prime-power components
+out of abelian Pauli subgroups.
 """
 
 from __future__ import annotations
@@ -288,17 +291,76 @@ def subgroup_order_mod(diagonal: Sequence[int], modulus: int) -> int:
     return order
 
 
-def kernel_solution_count(diagonal: Sequence[int], modulus: int, num_rows: int) -> int:
-    """Number of c in Z_modulus^num_rows with c @ M = 0 (mod modulus).
+def _gcd_step(p: int, b: int) -> tuple[int, int, int, int]:
+    """(s, t, u, v) with [[s, t], [-u, v]] unimodular, taking (p, b) to (gcd, 0).
 
-    ``diagonal`` is the SNF diagonal of M; rows beyond the diagonal length are
-    unconstrained and count as gcd(0, modulus) = modulus each.
+    For p > 0, b >= 0. When p divides b this is (1, 0, b // p, 1), a plain
+    subtraction that keeps p as pivot; extended-gcd output can be (0, 1)
+    there, which would swap the pivot away.
     """
-    padded = list(diagonal) + [0] * (num_rows - len(diagonal))
-    count = 1
-    for d in padded:
-        count *= math.gcd(d, modulus)
-    return count
+    if b % p == 0:
+        return 1, 0, b // p, 1
+    a0, b0 = p, b
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b0:
+        q, r = divmod(a0, b0)
+        a0, b0 = b0, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return s0, t0, b // a0, p // a0
+
+
+def span_order_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
+    """Order of the subgroup of Z_modulus^c spanned by ``rows``.
+
+    Diagonalizes mod ``modulus`` with unimodular 2x2 extended-gcd row and
+    column steps, keeping entries below the modulus and tracking no
+    transforms; the modulus is never factored. Any diagonal form gives the
+    order: a pivot p alone in its row and column spans a cyclic factor of
+    order modulus / gcd(p, modulus), and no divisibility chain is needed.
+    Every step either clears an entry that p divides or strictly lowers the
+    pivot, so the elimination terminates.
+    """
+    m = modulus
+    a = [[v % m for v in row] for row in rows]
+    order = 1
+    while a:
+        pivot = None
+        for i, row in enumerate(a):
+            for j, v in enumerate(row):
+                if v and (pivot is None or v < a[pivot[0]][pivot[1]]):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        r, c = pivot
+        while True:
+            # Clear column c with row steps.
+            for i, row in enumerate(a):
+                if i == r or not row[c]:
+                    continue
+                top = a[r]
+                s, t, u, v = _gcd_step(top[c], row[c])
+                if t:
+                    a[r] = [(s * y + t * x) % m for x, y in zip(row, top)]
+                a[i] = [(v * x - u * y) % m for x, y in zip(row, top)]
+            # Clear row r with column steps; a gcd step can refill column c.
+            refilled = False
+            for j, b in enumerate(a[r]):
+                if j == c or not b:
+                    continue
+                s, t, u, v = _gcd_step(a[r][c], b)
+                for row in a:
+                    y, x = row[c], row[j]
+                    row[c] = (s * y + t * x) % m
+                    row[j] = (v * x - u * y) % m
+                refilled = refilled or t != 0
+            if not refilled:
+                break
+        order *= m // math.gcd(a[r][c], m)
+        del a[r]
+        for row in a:
+            del row[c]
+    return order
 
 
 def kernel_basis_mod(snf: SmithNormalForm, modulus: int, num_rows: int) -> list[list[int]]:

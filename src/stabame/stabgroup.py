@@ -10,6 +10,7 @@ the relation lattice, so no group is ever listed element by element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import ring
@@ -25,6 +26,13 @@ from .pauli import (
 )
 
 
+def _check_size(dimension: int, parties: int) -> None:
+    if dimension < 2:
+        raise ValueError(f"dimension must be >= 2, got {dimension}")
+    if parties < 1:
+        raise ValueError(f"parties must be >= 1, got {parties}")
+
+
 @dataclass(frozen=True)
 class StabilizerGroup:
     """A generator list over Z_D on ``parties`` qudits (validity is not assumed)."""
@@ -34,9 +42,15 @@ class StabilizerGroup:
     generators: tuple[PauliProduct, ...]
 
     def __post_init__(self):
+        _check_size(self.dimension, self.parties)
         for g in self.generators:
             if g.dimension != self.dimension or g.parties != self.parties:
                 raise ValueError("generator dimension/parties mismatch")
+
+    @cached_property
+    def validity(self) -> "ValidityReport":
+        """The checks of :func:`validate`, computed once per (immutable) group."""
+        return _check_validity(self)
 
 
 @dataclass(frozen=True)
@@ -83,7 +97,14 @@ def validate(g: StabilizerGroup) -> ValidityReport:
     * order: size of the exponent-vector subgroup of Z_D^(2n), via SNF.
     * phase_consistent: every relation among the generators multiplies out to
       the exact identity (phase exponent 0), checked on a relation basis.
+
+    The report is computed on the first call for a group object and cached on
+    it, so every later check of the same group is free.
     """
+    return g.validity
+
+
+def _check_validity(g: StabilizerGroup) -> ValidityReport:
     gens = g.generators
     abelian = all(
         symplectic_inner(gens[i], gens[j]) == 0
@@ -190,6 +211,7 @@ def parse_generator_file(text: str) -> StabilizerGroup:
         dim, parties, count = map(int, head)
     except ValueError as exc:
         raise ValueError(f"bad header line {body[0]!r}") from exc
+    _check_size(dim, parties)
     if len(body) - 1 != count:
         raise ValueError(f"header promises {count} generators, file has {len(body) - 1}")
     gens = tuple(parse_pauli(ln, dim, parties) for ln in body[1:])

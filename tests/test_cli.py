@@ -61,6 +61,43 @@ def test_verify_exit_codes(tmp_path):
     assert run(["verify", str(missing)]) == 1
 
 
+def test_verify_rejects_groups_without_parties_or_dimension(tmp_path, capsys):
+    # Once accepted: "2 0 0" verified as an AME stabilizer state (exit 0) and
+    # "2 -1 0" / "0 1 0" reported invalid groups (exit 2); exit 2 is a verdict.
+    for text in ("2 0 0\n", "2 -1 0\n", "0 1 0\n"):
+        gens = tmp_path / "bad.gens"
+        gens.write_text(text)
+        report = tmp_path / "report.txt"
+        assert run(["verify", str(gens), "--out", str(report)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not report.exists()
+
+
+def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
+    from stabame import ring
+
+    calls = []
+    real = ring.smith_normal_form
+    monkeypatch.setattr(ring, "smith_normal_form", lambda m: calls.append(1) or real(m))
+    ame = tmp_path / "bell.gens"
+    run(["construct", "bell", "--dim", "6", "--out", str(ame)])
+    assert run(["verify", str(ame), "--method", "both", "--out", str(tmp_path / "a")]) == 0
+    assert len(calls) == 1  # validation only: no SNF per subset
+    not_ame = tmp_path / "prod.gens"
+    not_ame.write_text("6 2 2\n0 | 0 0 | 1 0\n0 | 0 0 | 0 1\n")
+    assert run(["verify", str(not_ame), "--method", "both", "--out", str(tmp_path / "b")]) == 1
+    assert len(calls) == 3  # validation and the witness of the first failing subset
+
+
+def test_main_dispatches_through_the_module_names(monkeypatch):
+    import stabame.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_nogo", lambda args: seen.append(args.command) or 0)
+    assert run(["nogo"]) == 0
+    assert seen == ["nogo"]
+
+
 def test_verify_report_contents(tmp_path, capsys):
     gens = tmp_path / "bell.gens"
     run(["construct", "bell", "--dim", "2", "--out", str(gens)])
@@ -149,21 +186,26 @@ def test_nogo_cli_custom_facts_conflict(tmp_path, capsys):
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
-    pairs = []
-    for tag in ("a", "b"):
-        csv_path = tmp_path / f"{tag}.csv"
-        svg_path = tmp_path / f"{tag}.svg"
-        gens = tmp_path / f"{tag}.gens"
-        search_out = tmp_path / f"{tag}.search"
-        run(["nogo", "--out", str(csv_path)])
-        run(["nogo", "--format", "svg", "--out", str(svg_path)])
-        run(["construct", "ghz", "--dim", "6", "--parties", "3", "--out", str(gens)])
-        run(["search", "--parties", "3", "--dim", "2", "--out", str(search_out)])
-        pairs.append(
-            (csv_path.read_bytes(), svg_path.read_bytes(), gens.read_bytes(),
-             search_out.read_bytes())
-        )
-    assert pairs[0] == pairs[1]
+    # All five subcommands in one process, the second round in reverse order,
+    # so nothing one call leaves behind (the parser is shared) reaches the next.
+    gens = tmp_path / "ghz.gens"
+    runs = [
+        ("nogo.csv", ["nogo"]),
+        ("nogo.svg", ["nogo", "--format", "svg"]),
+        ("ghz.gens", ["construct", "ghz", "--dim", "6", "--parties", "3"]),
+        ("verify.txt", ["verify", str(gens), "--method", "both"]),
+        ("decompose.txt", ["decompose", str(gens)]),
+        ("search.txt", ["search", "--parties", "3", "--dim", "2"]),
+    ]
+    rounds = []
+    for tag, order in (("a", runs), ("b", runs[:3] + runs[:2:-1])):
+        outputs = {}
+        for name, argv in order:
+            out = gens if name == "ghz.gens" else tmp_path / f"{tag}.{name}"
+            assert run(argv + ["--out", str(out)]) == 0
+            outputs[name] = out.read_bytes()
+        rounds.append(outputs)
+    assert rounds[0] == rounds[1]
 
 
 def test_cli_quiet_stderr_on_success(tmp_path, capsys):

@@ -131,6 +131,18 @@ def test_power_random_exponents():
         assert np.abs(dense_matrix(power(p, k)) - want).max() < 1e-10
 
 
+def test_power_closed_form_matches_repeated_multiplication():
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 4, 6, 9):
+        for _ in range(3):
+            p = random_pauli(rng, d, 3)
+            want = PauliProduct.identity(d, 3)
+            for k in range(4 * d + 1):
+                assert power(p, k) == want
+                assert power(p, k - 4 * d) == want  # k reduced mod 2D
+                want = multiply(want, p)
+
+
 def test_power_negative_exponent_is_inverse():
     rng = np.random.default_rng(19)
     for d in (2, 6):

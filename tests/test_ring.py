@@ -9,9 +9,9 @@ from stabame.ring import (
     factorize,
     identity_matrix,
     integer_determinant,
-    kernel_solution_count,
     matrix_multiply,
     smith_normal_form,
+    span_order_mod,
     subgroup_order_mod,
     sylow_exponent,
 )
@@ -179,8 +179,54 @@ def test_subgroup_order_and_kernel_count():
     # rows (1,1),(0,2) over Z_4: subgroup of order 4 * 2 = 8
     snf = smith_normal_form([[1, 1], [0, 2]])
     assert subgroup_order_mod(snf.diagonal, 4) == 8
-    # kernel count * subgroup order = modulus^k for full-rank coefficient space
-    assert kernel_solution_count(snf.diagonal, 4, 2) * 8 == 4**2
+    # the transform-free span order agrees without an SNF
+    assert span_order_mod([[1, 1], [0, 2]], 4) == 8
+
+
+SPAN_MODULI = (2, 3, 4, 6, 8, 9, 12, 30, 35, 2**40 + 15, 2**64 + 13)
+
+
+def _biased_entry(rng, d):
+    """Mostly 0, D/2 or D/3 (so spans often degenerate), otherwise uniform."""
+    pick = int(rng.integers(0, 5))
+    if pick == 0:
+        return 0
+    if pick == 1:
+        return d // 2
+    if pick == 2:
+        return d // 3
+    return int(rng.integers(0, 2**62)) * int(rng.integers(0, 2**62)) % d
+
+
+def test_span_order_matches_snf_diagonal_on_random_matrices():
+    rng = np.random.default_rng(20261018)
+    for case in range(3000):
+        d = SPAN_MODULI[case % len(SPAN_MODULI)]
+        rows = int(rng.integers(1, 8))
+        cols = int(rng.integers(1, 9))
+        matrix = [[_biased_entry(rng, d) for _ in range(cols)] for _ in range(rows)]
+        want = subgroup_order_mod(smith_normal_form(matrix).diagonal, d)
+        assert span_order_mod(matrix, d) == want, (d, matrix)
+
+
+def test_span_order_divisible_pivot_does_not_cycle():
+    # Extended-gcd coefficients (0, 1), which a plain extended gcd returns
+    # when the entry equals the pivot, swap the pivot back and forth forever
+    # on this matrix; the step must keep the pivot (coefficients (1, 0)).
+    matrix = [[1, 2, 2, 0, 1, 2], [2, 1, 1, 2, 1, 2], [1, 1, 2, 2, 1, 1],
+              [2, 2, 1, 1, 2, 2], [2, 2, 2, 0, 2, 1]]
+    assert span_order_mod(matrix, 3) == subgroup_order_mod(
+        smith_normal_form(matrix).diagonal, 3
+    )
+
+
+def test_span_order_degenerate_shapes():
+    assert span_order_mod([], 5) == 1
+    assert span_order_mod([[], []], 5) == 1
+    assert span_order_mod([[0, 0], [6, 12]], 6) == 1
+    assert span_order_mod([[-1, 0], [0, 7]], 6) == 36
+    assert span_order_mod([[2, 3]], 6) == 6
+    assert span_order_mod([[4], [6]], 2**64 + 13) == 2**64 + 13
 
 
 def test_integer_determinant():

@@ -67,6 +67,26 @@ def test_group_constructor_rejects_mismatched_generators():
         StabilizerGroup(2, 2, (PauliProduct.identity(3, 2),))
 
 
+def test_group_constructor_rejects_bad_sizes():
+    for dim, parties in ((1, 2), (0, 1), (-3, 1), (2, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            StabilizerGroup(dim, parties, ())
+
+
+def test_validity_is_computed_once_per_group(monkeypatch):
+    from stabame import ring
+
+    calls = []
+    real = ring.smith_normal_form
+    monkeypatch.setattr(ring, "smith_normal_form", lambda m: calls.append(1) or real(m))
+    g = ghz_group(6, 3)
+    first = validate(g)
+    assert validate(g) is first and g.validity is first
+    assert len(calls) == 1
+    # an equal but distinct group object computes its own report
+    assert validate(ghz_group(6, 3)) == first and len(calls) == 2
+
+
 def test_validate_order_matches_enumeration_random():
     rng = np.random.default_rng(101)
     for d in (2, 3, 4, 6):
@@ -240,3 +260,11 @@ def test_generator_file_rejects_malformed():
         parse_generator_file("2 2 2\n0 | 1 1 | 0 0\n")  # promises 2, has 1
     with pytest.raises(ValueError):
         parse_generator_file("2 2 1\n0 | 1 | 0\n")  # wrong party count
+    with pytest.raises(ValueError):
+        parse_generator_file("2 0 0\n")  # no parties
+    with pytest.raises(ValueError):
+        parse_generator_file("2 -1 0\n")
+    with pytest.raises(ValueError):
+        parse_generator_file("0 1 0\n")  # dimension below 2
+    with pytest.raises(ValueError):
+        parse_generator_file("0 1 1\n0 | 1 | 0\n")  # checked before any mod 0
