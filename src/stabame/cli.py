@@ -11,7 +11,6 @@ group. Other subcommands: 0 on success, 1 on error.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import ame, nogo, search, statevec
@@ -139,9 +138,7 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="stabame",
         description="Qudit stabilizer toolkit: AME verification, prime-power "
@@ -155,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parties", type=int, default=2, help="number of parties n")
     p.add_argument("--adjacency", help="upper-triangle entries, space separated (graph)")
     p.add_argument("--out", help="output file (default: stdout)")
+    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check whether a generator file is AME")
     p.add_argument("gens", help="generator file")
@@ -162,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="dense tolerance (default 1e-9)")
     p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
     p.add_argument("--out", help="report file (default: stdout)")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="split a composite-D group into prime-power factors")
     p.add_argument("gens", help="generator file")
@@ -170,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the per-factor AME verdict lines")
     p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
     p.add_argument("--out", help="report file (default: stdout)")
+    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("search", help="exhaustive graph-state AME search at (n, d)")
     p.add_argument("--parties", type=int, required=True)
@@ -185,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(auto: only for prime d) or just NO-GRAPH-STATE-AME",
     )
     p.add_argument("--out", help="witness/certificate file (default: stdout)")
+    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("nogo", help="emit the (n, D) stabilizer-AME exclusion table")
     p.add_argument("--facts", help="facts file (default: the shipped base fact)")
@@ -192,23 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=nogo.DEFAULT_MAX_DIM)
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out", help="table file (default: stdout)")
+    p.set_defaults(func=cmd_nogo)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Looked up per call, so a function rebound on this module (a tracer, a
-    # test's monkeypatch) is the one that runs.
-    command = {
-        "construct": cmd_construct,
-        "verify": cmd_verify,
-        "decompose": cmd_decompose,
-        "search": cmd_search,
-        "nogo": cmd_nogo,
-    }[args.command]
     try:
-        return command(args)
+        return args.func(args)
     except (
         ValueError,
         OSError,
