@@ -8,4 +8,4 @@ and a no-go table generator.
 
 __version__ = "0.1.0"
 
-from . import ame, cli, nogo, pauli, ring, search, stabgroup, statevec  # noqa: F401
+from . import ame, nogo, pauli, ring, search, stabgroup, statevec  # noqa: F401

@@ -18,6 +18,7 @@ in the dense realization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -143,12 +144,15 @@ def symplectic_inner(a: PauliProduct, b: PauliProduct) -> int:
 
 
 def order(p: PauliProduct) -> int:
-    """Smallest k >= 1 with p**k = identity, phase included; divides 2D."""
-    two_d = 2 * p.dimension
-    for k in range(1, two_d + 1):
-        if two_d % k == 0 and power(p, k).is_identity():
-            return k
-    raise AssertionError("element order must divide 2D")  # pragma: no cover
+    """Smallest k >= 1 with p**k = identity, phase included; divides 2D.
+
+    The Pauli part of p**k vanishes exactly when a = D / gcd(D, x, z) divides
+    k. Then p**a = lam**c is a pure phase and (p**a)**m = lam**(m*c), so the
+    order is a * 2D / gcd(2D, c).
+    """
+    d = p.dimension
+    a = d // math.gcd(d, *p.x_exp, *p.z_exp)
+    return a * (2 * d // math.gcd(2 * d, power(p, a).phase_exp))
 
 
 def dense_matrix(p: PauliProduct, max_dim: int = DEFAULT_MATRIX_DIM_BUDGET) -> np.ndarray:
@@ -174,21 +178,19 @@ def vector_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
 
     On basis states: p |j_1..j_n> = lam**phase * omega**(z . j) |j - x mod D>,
     so p @ vec is ``out[target] = phases * vec``; callers that apply the same
-    element many times compute this pair once.
+    element many times compute this pair once. Both arrays are built party by
+    party from length-D pieces, and the phases are read from a table of the D
+    values lam**phase * omega**m.
     """
     d = p.dimension
-    n = p.parties
-    size = d**n
-    idx = np.arange(size)
-    target = np.zeros(size, dtype=np.int64)
-    z_weight = np.zeros(size, dtype=np.int64)
-    for k in range(n):
-        w = d ** (n - 1 - k)
-        digit = (idx // w) % d
-        target += ((digit - p.x_exp[k]) % d) * w
-        z_weight += p.z_exp[k] * digit
-    phases = np.exp(1j * np.pi * p.phase_exp / d) * np.exp(2j * np.pi * (z_weight % d) / d)
-    return target, phases
+    digits = np.arange(d)
+    target = np.zeros(1, dtype=np.int64)
+    z_weight = np.zeros(1, dtype=np.int64)
+    for x, z in zip(p.x_exp, p.z_exp):
+        target = np.add.outer(target * d, (digits - x) % d).ravel()
+        z_weight = np.add.outer(z_weight, z * digits % d).ravel() % d
+    roots = np.exp(1j * np.pi * p.phase_exp / d) * np.exp(2j * np.pi * digits / d)
+    return target, roots[z_weight]
 
 
 def apply_to_vector(p: PauliProduct, vec: np.ndarray) -> np.ndarray:

@@ -6,6 +6,14 @@ to per-factor digits through the CRT split; :func:`tensor` composes factor
 states in exactly that digit ordering so serialized states stay portable.
 
 Equality of states is always up to global phase, via |<a|b>| > 1 - tol.
+
+Everything runs as whole-array steps. :func:`state_from_group` applies each
+generator's averaging projector by gathers (``cur = phases[source] *
+cur[source]``, with the inverse index map and its phases computed once per
+generator). :func:`reduced_density` builds its table by reshaping the
+amplitudes to one axis per party and transposing the kept parties first.
+:class:`ReducedDensity` tests positive semidefiniteness by a Cholesky
+factorization of ``matrix + NORM_TOL * I``, i.e. lambda_min > -NORM_TOL.
 """
 
 from __future__ import annotations
@@ -60,8 +68,10 @@ class ReducedDensity:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(self.matrix).real - 1.0) > NORM_TOL:
             raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(self.matrix).min() < -NORM_TOL:
-            raise ValueError("density matrix is not positive semidefinite")
+        try:
+            np.linalg.cholesky(self.matrix + NORM_TOL * np.eye(r))
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix is not positive semidefinite") from None
 
 
 @dataclass(frozen=True)
@@ -115,38 +125,26 @@ def state_from_group(
     size = g.dimension**g.parties
     if size > dense_budget:
         raise BudgetExceededError(f"dense size {size} exceeds budget {dense_budget}")
-    actions = [(vector_action(gen), order(gen)) for gen in g.generators]
+    actions = []
+    for gen in g.generators:
+        target, phases = vector_action(gen)
+        source = np.empty(size, dtype=np.int64)
+        source[target] = np.arange(size)
+        actions.append((source, phases[source], order(gen)))
     for seed in range(size):
         vec = np.zeros(size, dtype=complex)
         vec[seed] = 1.0
-        for (target, phases), m in actions:
+        for source, phases_src, m in actions:
             acc = vec.copy()
             cur = vec
             for _ in range(m - 1):
-                nxt = np.empty(size, dtype=complex)
-                nxt[target] = phases * cur
-                cur = nxt
+                cur = phases_src * cur[source]
                 acc += cur
             vec = acc / m
         norm = np.linalg.norm(vec)
         if norm > 1e-6:
             return DenseState(g.dimension, g.parties, vec / norm)
     raise RuntimeError("no basis seed survived projection; this indicates a bug")
-
-
-def _index_contributions(dimension: int, parties: int, subset: Sequence[int]) -> np.ndarray:
-    """Global-index contribution of every digit assignment on ``subset``.
-
-    Entry s of the result is sum over positions of digit * D**(n-1-party),
-    where s encodes the digits of the subset parties in subset order.
-    """
-    m = len(subset)
-    local = np.arange(dimension**m)
-    contrib = np.zeros(dimension**m, dtype=np.int64)
-    for t, party in enumerate(subset):
-        digit = (local // dimension ** (m - 1 - t)) % dimension
-        contrib += digit * dimension ** (parties - 1 - party)
-    return contrib
 
 
 def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
@@ -159,9 +157,8 @@ def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
     if any(s < 0 or s >= n for s in sub):
         raise ValueError(f"subset {sub} not contained in 0..{n - 1}")
     comp = tuple(k for k in range(n) if k not in sub)
-    kept = _index_contributions(state.dimension, n, sub)
-    env = _index_contributions(state.dimension, n, comp)
-    table = state.amplitudes[kept[:, None] + env[None, :]]
+    d = state.dimension
+    table = state.amplitudes.reshape((d,) * n).transpose(sub + comp).reshape(d ** len(sub), -1)
     return ReducedDensity(sub, table @ table.conj().T)
 
 
@@ -175,21 +172,20 @@ def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> DenseAmeReport
     """Check every floor(n/2)-party reduction for maximal mixedness.
 
     Subsets are visited in lexicographic order; the verdict is independent of
-    that order, the reported worst subset is the first one attaining the
-    maximum deviation.
+    that order. The reported deviation is the maximum, and the reported worst
+    subset is the first one within ALGEBRA_TOL of it, so float roundoff cannot
+    pick among subsets that tie exactly.
     """
     n = state.parties
-    worst_subset: tuple[int, ...] = ()
-    worst = -1.0
-    all_mixed = True
-    for sub in combinations(range(n), n // 2):
-        report = is_maximally_mixed(reduced_density(state, sub), tol)
-        if not report.verdict:
-            all_mixed = False
-        if report.max_deviation > worst:
-            worst = report.max_deviation
-            worst_subset = sub
-    return DenseAmeReport(all_mixed, worst_subset, worst)
+    reports = [
+        (sub, is_maximally_mixed(reduced_density(state, sub), tol))
+        for sub in combinations(range(n), n // 2)
+    ]
+    worst = max(report.max_deviation for _, report in reports)
+    worst_subset = next(
+        sub for sub, report in reports if report.max_deviation >= worst - ALGEBRA_TOL
+    )
+    return DenseAmeReport(all(report.verdict for _, report in reports), worst_subset, worst)
 
 
 def tensor(states: Sequence[DenseState]) -> DenseState:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import stabame
 from stabame.cli import main
 from stabame.stabgroup import parse_generator_file, validate
 from stabame.statevec import state_from_group
@@ -27,6 +33,21 @@ def test_construct_bell_is_ame(tmp_path):
     gens = tmp_path / "bell.gens"
     assert run(["construct", "bell", "--dim", "5", "--out", str(gens)]) == 0
     assert run(["verify", str(gens), "--method", "both"]) == 0
+
+
+def test_python_m_cli_runs_silently(tmp_path):
+    gens = tmp_path / "bell.gens"
+    gens.write_text("6 2 2\n0 | 1 1 | 0 0\n0 | 0 0 | 1 5\n")
+    src = str(Path(stabame.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "stabame.cli", "verify", str(gens)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "ame=yes" in done.stdout
 
 
 def test_construct_bell_rejects_other_party_counts(capsys):

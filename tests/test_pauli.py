@@ -15,6 +15,7 @@ from stabame.pauli import (
     power,
     single_site,
     symplectic_inner,
+    vector_action,
 )
 
 ALG_TOL = 1e-12
@@ -190,6 +191,47 @@ def test_order_divides_2d():
                     assert not power(p, smaller).is_identity()
 
 
+def _order_by_multiplication(p):
+    """Smallest k >= 1 with p**k = identity, by repeated multiply (no power)."""
+    acc, k = p, 1
+    while not acc.is_identity():
+        acc, k = multiply(acc, p), k + 1
+    return k
+
+
+def test_order_matches_brute_force():
+    # every single-qudit element with D <= 12, then seeded three-qudit ones
+    for d in range(2, 13):
+        for gamma in range(2 * d):
+            for x in range(d):
+                for z in range(d):
+                    p = make_pauli(d, 1, gamma, [x], [z])
+                    assert order(p) == _order_by_multiplication(p), p
+    rng = np.random.default_rng(53)
+    for d in (2, 4, 6, 12, 30):
+        for _ in range(40):
+            p = random_pauli(rng, d, 3)
+            assert order(p) == _order_by_multiplication(p), p
+
+
+def test_vector_action_is_the_dense_matrix():
+    # column j of dense_matrix(p) holds phases[j] in row target[j] and zeros elsewhere
+    rng = np.random.default_rng(59)
+    for d in (2, 4, 6, 12):
+        for n in (1, 2, 3):
+            for _ in range(2 if d**n > 200 else 5):
+                p = random_pauli(rng, d, n)
+                if p.phase_exp == 0:
+                    p = make_pauli(d, n, 1, p.x_exp, p.z_exp)
+                target, phases = vector_action(p)
+                mat = dense_matrix(p)
+                cols = np.arange(d**n)
+                assert np.array_equal(np.sort(target), cols)
+                assert np.abs(mat[target, cols] - phases).max() < ALG_TOL
+                mat[target, cols] = 0
+                assert not mat.any()
+
+
 def test_dense_matrices_are_unitary():
     rng = np.random.default_rng(37)
     for d in (2, 3, 6):
@@ -201,10 +243,12 @@ def test_dense_matrices_are_unitary():
 
 def test_apply_to_vector_matches_dense():
     rng = np.random.default_rng(41)
-    for d, n in ((2, 3), (6, 2), (3, 2)):
+    for d, n in [(3, 2)] + [(d, n) for d in (2, 4, 6, 12) for n in (1, 2, 3)]:
         vec = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
         for _ in range(6):
             p = random_pauli(rng, d, n)
+            if p.phase_exp == 0:
+                p = make_pauli(d, n, 1, p.x_exp, p.z_exp)
             assert np.abs(apply_to_vector(p, vec) - dense_matrix(p) @ vec).max() < 1e-10
 
 

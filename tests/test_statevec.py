@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from conftest import haar_unitary, random_graph_group
 from enumeration import enumerate_elements
 from stabame.errors import BudgetExceededError
 from stabame.pauli import apply_to_vector, make_pauli, single_site
+from stabame.search import GraphState, graph_to_group
 from stabame.stabgroup import StabilizerGroup, bell_group, ghz_group
 from stabame.statevec import (
     DenseState,
+    ReducedDensity,
     apply_local_unitary,
     basis_state,
     fidelity,
@@ -123,6 +127,84 @@ def test_reduced_density_validates_subset():
         reduced_density(st, [0, 0])
     with pytest.raises(ValueError):
         reduced_density(st, [2])
+
+
+def _einsum_partial_trace(state, subset):
+    """rho on sorted(subset) by one einsum over the state tensor."""
+    d, n = state.dimension, state.parties
+    kept = sorted(subset)
+    ket = list(range(n))
+    bra = [n + k if k in kept else k for k in range(n)]
+    out = kept + [n + k for k in kept]
+    psi = state.amplitudes.reshape((d,) * n)
+    rho = np.einsum(psi, ket, psi.conj(), bra, out)
+    return rho.reshape(d ** len(kept), d ** len(kept))
+
+
+def test_reduced_density_matches_einsum_partial_trace():
+    rng = np.random.default_rng(61)
+    for d, n in ((2, 5), (3, 4), (6, 3), (4, 3)):
+        amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+        st = DenseState(d, n, amps / np.linalg.norm(amps))
+        for m in range(n + 1):
+            for sub in combinations(range(n), m):
+                rho = reduced_density(st, sub)
+                assert rho.subset == sub
+                assert np.abs(rho.matrix - _einsum_partial_trace(st, sub)).max() < 1e-12
+        for _ in range(4):
+            sub = [int(k) for k in rng.permutation(n)[: int(rng.integers(1, n))]]
+            rho = reduced_density(st, sub)
+            assert rho.subset == tuple(sorted(sub))
+            assert np.abs(rho.matrix - _einsum_partial_trace(st, sub)).max() < 1e-12
+
+
+def _density_with_spectrum(eigenvalues, rng):
+    u = haar_unitary(len(eigenvalues), rng)
+    m = u @ np.diag(eigenvalues) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_reduced_density_contract_rejects():
+    rng = np.random.default_rng(67)
+    with pytest.raises(ValueError, match="square"):
+        ReducedDensity((0,), np.full((2, 3), 0.5))
+    skew = np.eye(2) / 2
+    skew[0, 1] = 1e-10
+    with pytest.raises(ValueError, match="Hermitian"):
+        ReducedDensity((0,), skew)
+    with pytest.raises(ValueError, match="trace"):
+        ReducedDensity((0,), np.diag([0.5 + 1e-8, 0.5]))
+    negative = _density_with_spectrum([0.5, 0.3, 0.2 + 2e-9, 0.0, 0.0, -2e-9], rng)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        ReducedDensity((0,), negative)
+
+
+def test_reduced_density_contract_accepts():
+    rng = np.random.default_rng(71)
+    nearly = _density_with_spectrum([0.5, 0.3, 0.2 + 5e-10, 0.0, 0.0, -5e-10], rng)
+    ReducedDensity((0,), nearly)
+    v = rng.normal(size=(144, 12)) + 1j * rng.normal(size=(144, 12))
+    low_rank = v @ v.conj().T
+    low_rank = (low_rank + low_rank.conj().T) / (2 * np.trace(low_rank).real)
+    assert np.linalg.matrix_rank(low_rank) == 12
+    ReducedDensity((0, 1), low_rank)
+
+
+def test_verify_ame_dense_worst_subset_ignores_roundoff():
+    # every 2-party reduction of the complete-graph state K4 over Z_6 deviates
+    # from I/36 by exactly 1/36, each one computed from different amplitudes
+    k4 = tuple(tuple(int(i != j) for j in range(4)) for i in range(4))
+    st = state_from_group(graph_to_group(GraphState(6, 4, k4)))
+    report = verify_ame_dense(st)
+    assert report.worst_subset == (0, 1)
+    assert abs(report.worst_deviation - 1 / 36) < 1e-12
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        noise = 1e-15 * (rng.normal(size=6**4) + 1j * rng.normal(size=6**4))
+        amps = st.amplitudes + noise
+        shaken = verify_ame_dense(DenseState(6, 4, amps / np.linalg.norm(amps)))
+        assert shaken.worst_subset == (0, 1)
+        assert abs(shaken.worst_deviation - report.worst_deviation) < 1e-12
 
 
 def test_is_maximally_mixed():
