@@ -11,9 +11,9 @@ no nonidentity group element is supported entirely inside any floor(n/2)-party
 subset. Every symbolic verdict counts those elements per subset, whatever the
 group order, from the order of the span of the exponent columns outside the
 subset (a transform-free diagonalization mod D); only the first failing
-subset gets a Smith normal form, for its witness. The test suite checks the
-verdicts against element-by-element enumeration and against the dense oracle
-rather than assuming them.
+subset is eliminated again, carrying its left transform, for its witness.
+The test suite checks the verdicts against element-by-element enumeration
+and against the dense oracle rather than assuming them.
 """
 
 from __future__ import annotations
@@ -116,26 +116,27 @@ def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
     the kernel of restricting the exponents to the columns outside S, so
     there are D**n / |span of M_outside| of them and S fails exactly when
     the outside columns span fewer than D**n vectors. Only the first failing
-    subset gets a Smith normal form, to build the witness from its kernel.
+    subset is eliminated again with its left transform (``ring.kernel_mod``):
+    its relations mod D generate those elements up to gen**D, which is the
+    identity in a valid group, so one of them is a non-identity witness.
     """
     d = g.dimension
     n = g.parties
-    k = len(g.generators)
     full = d**n
     matrix = exponent_matrix(g)
     for sub in combinations(range(n), n // 2):
         outside_cols = [c for c in range(2 * n) if (c % n) not in sub]
         restricted = [[row[c] for c in outside_cols] for row in matrix]
         if ring.span_order_mod(restricted, d) < full:
-            snf = ring.smith_normal_form(restricted)
+            _, relations = ring.kernel_mod(restricted, d)
             witness = None
-            for c in ring.kernel_basis_mod(snf, d, k):
+            for c in relations:
                 elem = generator_product(g, c)
                 if not elem.is_identity():
                     witness = elem
                     break
             if witness is None:  # pragma: no cover - generation argument forbids this
-                raise AssertionError("subset supports elements but no witness in the basis")
+                raise AssertionError("subset supports elements but no witness in the relations")
             return AmeVerdict(False, "symbolic", witness=witness, worst_subset=sub)
     return AmeVerdict(True, "symbolic")
 
@@ -147,8 +148,8 @@ def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
     floor(n/2)-subset whether the exponents outside it still span D**n
     vectors (:func:`_symbolic_by_counting`).
     A non-AME verdict names the first failing subset in ``combinations``
-    order and, as witness, the first non-identity product over a kernel basis
-    of that subset.
+    order and, as witness, the first non-identity product over the relations
+    mod D of that subset's outside columns.
     """
     if not validate(g).stabilizes_unique_state:
         raise ValueError("group does not stabilize a unique state")

@@ -115,11 +115,7 @@ def cmd_search(args) -> int:
         shard=shard,
         search_budget=args.search_budget,
     )
-    complete = {"auto": None, "on": True, "off": False}[args.completeness]
-    _write_output(
-        search.format_search_report(args.parties, args.dim, result, complete=complete),
-        args.out,
-    )
+    _write_output(search.format_search_report(args.parties, args.dim, result), args.out)
     return 0
 
 
@@ -177,13 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["first", "exhaustive"], default="exhaustive")
     p.add_argument("--shard", help="candidate index range start:end")
     p.add_argument("--search-budget", type=int, default=search.DEFAULT_SEARCH_BUDGET)
-    p.add_argument(
-        "--completeness",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="whether an empty exhaustion claims NO-STABILIZER-AME "
-        "(auto: only for prime d) or just NO-GRAPH-STATE-AME",
-    )
     p.add_argument("--out", help="witness/certificate file (default: stdout)")
     p.set_defaults(func=cmd_search)
 

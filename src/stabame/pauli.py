@@ -193,22 +193,6 @@ def vector_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
     return target, roots[z_weight]
 
 
-def apply_to_vector(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
-    """Apply p to a state vector of length D**n without building the matrix.
-
-    Matches ``dense_matrix(p) @ vec`` exactly (up to float roundoff); see
-    :func:`vector_action`.
-    """
-    size = p.dimension**p.parties
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (size,):
-        raise ValueError(f"expected vector of length {size}, got shape {vec.shape}")
-    target, phases = vector_action(p)
-    out = np.empty(size, dtype=complex)
-    out[target] = phases * vec
-    return out
-
-
 def format_pauli(p: PauliProduct) -> str:
     """Serialize as ``gamma | x_1 ... x_n | z_1 ... z_n`` (decimal, pipe-separated)."""
     return "{} | {} | {}".format(

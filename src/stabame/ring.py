@@ -1,12 +1,13 @@
-"""Exact integer arithmetic: factorization, CRT, Smith normal form, span orders.
+"""Exact integer arithmetic: factorization, CRT, span orders and kernels mod D.
 
-Everything here is pure and exact (Python big integers, no floats). These
-primitives back the stabilizer-group order computation (Smith normal form
-with transforms, whose left transform also yields relation and kernel
-bases), the transform-free span order mod D that the symbolic AME verifier
-evaluates per subset, the Chinese-remainder splitting of composite local
-dimensions, and the Sylow idempotents used to pull prime-power components
-out of abelian Pauli subgroups.
+Everything here is pure and exact (Python big integers, no floats). One
+elimination mod D backs all the linear algebra: the span order that the
+symbolic AME verifier evaluates per subset carries no transform, and the same
+diagonalization carrying its left transform gives the relations among
+generators that group validation and witnesses need. The rest is the
+Chinese-remainder splitting of composite local dimensions and the Sylow
+idempotents used to pull prime-power components out of abelian Pauli
+subgroups.
 """
 
 from __future__ import annotations
@@ -115,180 +116,8 @@ def cofactor_modulus(f: PrimePowerFactorization, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and the Smith normal form
+# Elimination mod D: span orders and relation kernels
 # ---------------------------------------------------------------------------
-
-IntMatrix = list[list[int]]
-
-
-def _copy_matrix(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    rows = [list(map(int, row)) for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
-
-
-def identity_matrix(k: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def matrix_multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    return [
-        [sum(row[t] * b[t][j] for t in range(len(b))) for j in range(cols)]
-        for row in a
-    ]
-
-
-def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = _copy_matrix(matrix)
-    k = len(a)
-    if k == 0:
-        return 1
-    if any(len(row) != k for row in a):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for col in range(k - 1):
-        if a[col][col] == 0:
-            pivot_row = next((r for r in range(col + 1, k) if a[r][col] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        for i in range(col + 1, k):
-            for j in range(col + 1, k):
-                a[i][j] = (a[i][j] * a[col][col] - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
-    return sign * a[k - 1][k - 1]
-
-
-@dataclass(frozen=True)
-class SmithNormalForm:
-    """left_transform @ original @ right_transform = diag(diagonal), zeros last.
-
-    The diagonal entries are nonnegative and satisfy d_1 | d_2 | ...; both
-    transforms are unimodular (determinant +-1).
-    """
-
-    diagonal: tuple[int, ...]
-    left_transform: tuple[tuple[int, ...], ...]
-    right_transform: tuple[tuple[int, ...], ...]
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
-    """Smith normal form over the integers, with both unimodular transforms.
-
-    Total function: accepts any rectangular integer matrix, including empty
-    ones. Uses the classic pivot-and-reduce elimination; exact arithmetic
-    throughout.
-    """
-    a = _copy_matrix(matrix)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    left = identity_matrix(rows)
-    right = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, mult):
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + mult * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, mult):
-        for row in a:
-            row[dst] += mult * row[src]
-        for row in right:
-            row[dst] += mult * row[src]
-
-    limit = min(rows, cols)
-    for t in range(limit):
-        # Pick the smallest-magnitude nonzero entry of the working block as pivot.
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-
-        while True:
-            # Clear column t with Euclidean row steps.
-            dirty = False
-            for i in range(t + 1, rows):
-                while a[i][t] != 0:
-                    quot = a[i][t] // a[t][t]
-                    add_row(i, t, -quot)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            # Clear row t with Euclidean column steps.
-            for j in range(t + 1, cols):
-                while a[t][j] != 0:
-                    quot = a[t][j] // a[t][t]
-                    add_col(j, t, -quot)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, rows)):
-                # The pivot must divide the whole remaining block for the
-                # divisibility chain; if not, fold an offending row in and redo.
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                add_row(t, offender, 1)
-
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
-
-    diagonal = tuple(a[i][i] for i in range(limit))
-    return SmithNormalForm(
-        diagonal,
-        tuple(tuple(row) for row in left),
-        tuple(tuple(row) for row in right),
-    )
-
-
-def subgroup_order_mod(diagonal: Sequence[int], modulus: int) -> int:
-    """Order of the subgroup of Z_modulus^c generated by rows with the given SNF diagonal.
-
-    Each elementary divisor d contributes a cyclic factor of order
-    modulus / gcd(d, modulus), with gcd(0, modulus) = modulus.
-    """
-    order = 1
-    for d in diagonal:
-        order *= modulus // math.gcd(d, modulus)
-    return order
 
 
 def _gcd_step(p: int, b: int) -> tuple[int, int, int, int]:
@@ -310,24 +139,28 @@ def _gcd_step(p: int, b: int) -> tuple[int, int, int, int]:
     return s0, t0, b // a0, p // a0
 
 
-def span_order_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
-    """Order of the subgroup of Z_modulus^c spanned by ``rows``.
+def _diagonalize_mod(rows: Sequence[Sequence[int]], modulus: int, width: int):
+    """Diagonalize the first ``width`` columns of ``rows`` mod ``modulus``.
 
-    Diagonalizes mod ``modulus`` with unimodular 2x2 extended-gcd row and
-    column steps, keeping entries below the modulus and tracking no
-    transforms; the modulus is never factored. Any diagonal form gives the
-    order: a pivot p alone in its row and column spans a cyclic factor of
-    order modulus / gcd(p, modulus), and no divisibility chain is needed.
-    Every step either clears an entry that p divides or strictly lowers the
-    pivot, so the elimination terminates.
+    Uses unimodular 2x2 extended-gcd row and column steps, keeping entries
+    below the modulus; the modulus is never factored. Columns past ``width``
+    follow the row steps only, so appended identity columns record the left
+    transform. Every step either clears an entry that the pivot divides or
+    strictly lowers the pivot, so the elimination terminates.
+
+    Returns one (pivot, carried columns) pair per row. A pivot is alone in its
+    row and column of the diagonalized block; a row that ends zero there gets
+    pivot 0. No divisibility chain is formed: the span order and the kernel
+    only need some diagonal form.
     """
     m = modulus
     a = [[v % m for v in row] for row in rows]
-    order = 1
-    while a:
+    out = []
+    while True:
         pivot = None
         for i, row in enumerate(a):
-            for j, v in enumerate(row):
+            for j in range(width):
+                v = row[j]
                 if v and (pivot is None or v < a[pivot[0]][pivot[1]]):
                     pivot = (i, j)
         if pivot is None:
@@ -345,10 +178,12 @@ def span_order_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
                 a[i] = [(v * x - u * y) % m for x, y in zip(row, top)]
             # Clear row r with column steps; a gcd step can refill column c.
             refilled = False
-            for j, b in enumerate(a[r]):
+            top = a[r]
+            for j in range(width):
+                b = top[j]
                 if j == c or not b:
                     continue
-                s, t, u, v = _gcd_step(a[r][c], b)
+                s, t, u, v = _gcd_step(top[c], b)
                 for row in a:
                     y, x = row[c], row[j]
                     row[c] = (s * y + t * x) % m
@@ -356,23 +191,45 @@ def span_order_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
                 refilled = refilled or t != 0
             if not refilled:
                 break
-        order *= m // math.gcd(a[r][c], m)
-        del a[r]
+        top = a.pop(r)
+        out.append((top[c], top[width:]))
+        width -= 1
         for row in a:
             del row[c]
+    out.extend((0, row[width:]) for row in a)
+    return out
+
+
+def span_order_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
+    """Order of the subgroup of Z_modulus^c spanned by ``rows``.
+
+    A pivot p of the diagonal form spans a cyclic factor of order
+    modulus / gcd(p, modulus), with gcd(0, modulus) = modulus.
+    """
+    order = 1
+    for pivot, _ in _diagonalize_mod(rows, modulus, len(rows[0]) if rows else 0):
+        order *= modulus // math.gcd(pivot, modulus)
     return order
 
 
-def kernel_basis_mod(snf: SmithNormalForm, modulus: int, num_rows: int) -> list[list[int]]:
-    """Generating set of {c in Z^num_rows : c @ M = 0 (mod modulus)} mod modulus.
+def kernel_mod(rows: Sequence[Sequence[int]], modulus: int) -> tuple[int, list[list[int]]]:
+    """Span order of ``rows`` and the relations {c : c @ rows = 0 (mod modulus)}.
 
-    M is the matrix the SNF was computed from. Row i of the left transform,
-    scaled by modulus / gcd(d_i, modulus), generates the solutions; together
-    they generate the whole solution group mod ``modulus``.
+    The relations are returned mod ``modulus`` and generate the solution group
+    mod ``modulus``; together with modulus * e_j they generate the integer
+    relation lattice. Row i of the left transform, scaled by
+    modulus / gcd(p_i, modulus), is one relation; those of unit pivots vanish
+    mod ``modulus`` and are left out.
     """
-    padded = list(snf.diagonal) + [0] * (num_rows - len(snf.diagonal))
-    basis = []
-    for i in range(num_rows):
-        coeff = modulus // math.gcd(padded[i], modulus)
-        basis.append([coeff * v for v in snf.left_transform[i]])
-    return basis
+    k = len(rows)
+    width = len(rows[0]) if rows else 0
+    augmented = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows)]
+    order = 1
+    relations = []
+    for pivot, left in _diagonalize_mod(augmented, modulus, width):
+        scale = modulus // math.gcd(pivot, modulus)
+        order *= scale
+        relation = [scale * v % modulus for v in left]
+        if any(relation):
+            relations.append(relation)
+    return order, relations

@@ -58,8 +58,8 @@ def graph_search_is_complete(dimension: int) -> bool:
     For prime d every stabilizer state is local-Clifford equivalent to a graph
     state and local unitaries preserve the AME property, so an empty graph
     search rules out all stabilizer AME states. For prime powers with e >= 2
-    and composites that completeness is not established in the Z_d convention
-    used here, so the default is off and only the graph-state claim is made.
+    and composites graph states are not known to cover all stabilizer states
+    in the Z_d convention used here, so only the graph-state claim is made.
     """
     f = factorize(dimension)
     return f.num_factors == 1 and f.factors[0][1] == 1
@@ -303,27 +303,21 @@ def format_certificate(parties: int, dimension: int, searched: int, witnesses: i
     return f"EXHAUSTED n={parties} d={dimension} searched={searched} witnesses={witnesses}"
 
 
-def format_search_report(
-    parties: int,
-    dimension: int,
-    result: SearchResult,
-    complete: bool | None = None,
-) -> str:
+def format_search_report(parties: int, dimension: int, result: SearchResult) -> str:
     """Witness lines followed by the certificate (or a partial-coverage note).
 
-    An exhaustion with no witnesses adds a non-existence claim whose strength
-    depends on the completeness flag: NO-STABILIZER-AME when graph states are
-    known to cover all stabilizer states at this d (``complete``, defaulting
-    to :func:`graph_search_is_complete`), NO-GRAPH-STATE-AME otherwise.
+    An exhaustion with no witnesses adds a non-existence claim no stronger
+    than the theorem behind it: NO-STABILIZER-AME when graph states are known
+    to cover all stabilizer states at this d (:func:`graph_search_is_complete`),
+    NO-GRAPH-STATE-AME otherwise.
     """
-    if complete is None:
-        complete = graph_search_is_complete(dimension)
     lines = [format_witness_line(g) for g in result.found]
     if result.exhausted:
         lines.append(
             format_certificate(parties, dimension, result.searched, len(result.found))
         )
         if not result.found:
+            complete = graph_search_is_complete(dimension)
             kind = "NO-STABILIZER-AME" if complete else "NO-GRAPH-STATE-AME"
             lines.append(f"{kind} n={parties} d={dimension}")
     else:

@@ -2,9 +2,10 @@
 
 A generator list claims to stabilize a unique state when the generated group
 is abelian, phase-consistent (no lam**g * identity with g != 0 in the group),
-and has order exactly D**n. The order comes from the Smith normal form of the
-integer exponent matrix and phase consistency from products over a basis of
-the relation lattice, so no group is ever listed element by element.
+and has order exactly D**n. One elimination of the exponent matrix mod D
+(``ring.kernel_mod``) gives the order and the relations among the
+generators; phase consistency is checked on the products over those
+relations and on each gen**D, so no group is ever listed element by element.
 """
 
 from __future__ import annotations
@@ -74,27 +75,29 @@ def generator_product(g: StabilizerGroup, coeffs: Sequence[int]) -> PauliProduct
     return elem
 
 
-def _relation_elements(g: StabilizerGroup, snf: ring.SmithNormalForm):
+def _relation_elements(g: StabilizerGroup, relations: Sequence[Sequence[int]]):
     """Products prod_j gen_j**c_j over a generating set of the relation lattice.
 
     A relation is an integer coefficient vector c with c @ M = 0 (mod D);
     each yields a group element with zero exponents whose phase must vanish
-    for the group to be phase-consistent.
+    for the group to be phase-consistent. ``relations`` generate the lattice
+    mod D only, so the vectors D * e_j, whose products are gen_j**D, complete
+    it: an element of order 2D has gen**D = lam**D.
     """
-    out = []
-    for c in ring.kernel_basis_mod(snf, g.dimension, len(g.generators)):
+    for gen in g.generators:
+        yield power(gen, g.dimension)
+    for c in relations:
         elem = generator_product(g, c)
         if not elem.is_phase_only():
             raise AssertionError("relation product must have zero exponents")
-        out.append(elem)
-    return out
+        yield elem
 
 
 def validate(g: StabilizerGroup) -> ValidityReport:
     """Check the stabilizer-state conditions; reports, never raises, on well-formed input.
 
     * abelian: all generator pairs have vanishing symplectic inner product.
-    * order: size of the exponent-vector subgroup of Z_D^(2n), via SNF.
+    * order: size of the exponent-vector subgroup of Z_D^(2n), by elimination mod D.
     * phase_consistent: every relation among the generators multiplies out to
       the exact identity (phase exponent 0), checked on a relation basis.
 
@@ -111,11 +114,8 @@ def _check_validity(g: StabilizerGroup) -> ValidityReport:
         for i in range(len(gens))
         for j in range(i + 1, len(gens))
     )
-    snf = ring.smith_normal_form(exponent_matrix(g))
-    order = ring.subgroup_order_mod(
-        list(snf.diagonal) + [0] * (len(gens) - len(snf.diagonal)), g.dimension
-    )
-    phase_consistent = all(e.phase_exp == 0 for e in _relation_elements(g, snf))
+    order, relations = ring.kernel_mod(exponent_matrix(g), g.dimension)
+    phase_consistent = all(e.phase_exp == 0 for e in _relation_elements(g, relations))
     full = order == g.dimension**g.parties
     return ValidityReport(abelian, order, phase_consistent, abelian and phase_consistent and full)
 

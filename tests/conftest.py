@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from stabame.pauli import PauliProduct, make_pauli
+from stabame.pauli import PauliProduct, make_pauli, vector_action
 from stabame.search import GraphState, graph_to_group
 from stabame.stabgroup import StabilizerGroup
 
@@ -40,6 +40,14 @@ def ref_pauli_matrix(p: PauliProduct) -> np.ndarray:
         full = site if full is None else np.kron(full, site)
     lam = np.exp(1j * np.pi / d)
     return lam**p.phase_exp * full
+
+
+def apply_pauli(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
+    """p @ vec through the package's index map and phases (:func:`vector_action`)."""
+    target, phases = vector_action(p)
+    out = np.empty(len(vec), dtype=complex)
+    out[target] = phases * vec
+    return out
 
 
 def random_pauli(rng: np.random.Generator, d: int, n: int) -> PauliProduct:

@@ -1,9 +1,9 @@
 """Element-by-element enumeration of stabilizer groups: an independent test oracle.
 
 The package never lists a group: it takes orders, phase consistency and AME
-verdicts from Smith normal forms. These helpers list the group outright, by
-breadth-first closure under multiplication, so tests can check those answers
-against the definitions at desk scale.
+verdicts from eliminations of the exponent matrix mod D. These helpers list
+the group outright, by breadth-first closure under multiplication, so tests
+can check those answers against the definitions at desk scale.
 """
 
 from collections import deque

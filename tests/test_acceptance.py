@@ -11,20 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_graph_group, random_pauli
+from snf import integer_determinant, matrix_multiply, smith_normal_form
 from stabame.ame import decompose, merge_factors, reduce_ame, verify_ame_symbolic
 from stabame.cli import main as cli_main
 from stabame.errors import FactsError
 from stabame.nogo import default_facts, load_facts, propagate
 from stabame.pauli import dense_matrix, multiply, symplectic_inner
-from stabame.ring import (
-    crt_combine,
-    crt_split,
-    factorize,
-    integer_determinant,
-    matrix_multiply,
-    smith_normal_form,
-    sylow_exponent,
-)
+from stabame.ring import crt_combine, crt_split, factorize, sylow_exponent
 from stabame.search import graph_to_group, search_ame
 from stabame.stabgroup import (
     bell_group,

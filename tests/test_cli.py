@@ -98,12 +98,12 @@ def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
     from stabame import ring
 
     calls = []
-    real = ring.smith_normal_form
-    monkeypatch.setattr(ring, "smith_normal_form", lambda m: calls.append(1) or real(m))
+    real = ring.kernel_mod
+    monkeypatch.setattr(ring, "kernel_mod", lambda m, d: calls.append(1) or real(m, d))
     ame = tmp_path / "bell.gens"
     run(["construct", "bell", "--dim", "6", "--out", str(ame)])
     assert run(["verify", str(ame), "--method", "both", "--out", str(tmp_path / "a")]) == 0
-    assert len(calls) == 1  # validation only: no SNF per subset
+    assert len(calls) == 1  # validation only: no transform per subset
     not_ame = tmp_path / "prod.gens"
     not_ame.write_text("6 2 2\n0 | 0 0 | 1 0\n0 | 0 0 | 0 1\n")
     assert run(["verify", str(not_ame), "--method", "both", "--out", str(tmp_path / "b")]) == 1
@@ -167,13 +167,6 @@ def test_search_cli_exhaustive_and_shard(tmp_path):
         ["search", "--parties", "2", "--dim", "3", "--shard", "0:2", "--out", str(shard)]
     ) == 0
     assert "PARTIAL n=2 d=3 searched=2" in shard.read_text()
-
-    forced = tmp_path / "forced.txt"
-    assert run(
-        ["search", "--parties", "4", "--dim", "2", "--completeness", "off",
-         "--out", str(forced)]
-    ) == 0
-    assert "NO-GRAPH-STATE-AME n=4 d=2" in forced.read_text()
 
 
 def test_search_cli_first_witness(tmp_path):

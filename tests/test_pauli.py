@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_pauli, ref_pauli_matrix, ref_x_matrix, ref_z_matrix
+from conftest import apply_pauli, random_pauli, ref_pauli_matrix, ref_x_matrix, ref_z_matrix
 from stabame.errors import BudgetExceededError
 from stabame.pauli import (
     PauliProduct,
-    apply_to_vector,
     dense_matrix,
     format_pauli,
     make_pauli,
@@ -241,7 +240,7 @@ def test_dense_matrices_are_unitary():
             assert np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() < ALG_TOL
 
 
-def test_apply_to_vector_matches_dense():
+def test_vector_action_matches_dense():
     rng = np.random.default_rng(41)
     for d, n in [(3, 2)] + [(d, n) for d in (2, 4, 6, 12) for n in (1, 2, 3)]:
         vec = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
@@ -249,7 +248,7 @@ def test_apply_to_vector_matches_dense():
             p = random_pauli(rng, d, n)
             if p.phase_exp == 0:
                 p = make_pauli(d, n, 1, p.x_exp, p.z_exp)
-            assert np.abs(apply_to_vector(p, vec) - dense_matrix(p) @ vec).max() < 1e-10
+            assert np.abs(apply_pauli(p, vec) - dense_matrix(p) @ vec).max() < 1e-10
 
 
 def test_serialization_roundtrip():

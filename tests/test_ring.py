@@ -1,18 +1,23 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from conftest import snf_diagonal_oracle
+from snf import (
+    identity_matrix,
+    integer_determinant,
+    matrix_multiply,
+    smith_normal_form,
+    subgroup_order_mod,
+)
 from stabame.ring import (
     PrimePowerFactorization,
     crt_combine,
     crt_split,
     factorize,
-    identity_matrix,
-    integer_determinant,
-    matrix_multiply,
-    smith_normal_form,
+    kernel_mod,
     span_order_mod,
-    subgroup_order_mod,
     sylow_exponent,
 )
 
@@ -118,7 +123,7 @@ def test_sylow_idempotent_identities_range_2_to_60():
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Smith normal form (the test reference) and the elimination mod D
 # ---------------------------------------------------------------------------
 
 
@@ -179,8 +184,9 @@ def test_subgroup_order_and_kernel_count():
     # rows (1,1),(0,2) over Z_4: subgroup of order 4 * 2 = 8
     snf = smith_normal_form([[1, 1], [0, 2]])
     assert subgroup_order_mod(snf.diagonal, 4) == 8
-    # the transform-free span order agrees without an SNF
+    # the elimination mod D agrees without an SNF; the kernel has 16 / 8 elements
     assert span_order_mod([[1, 1], [0, 2]], 4) == 8
+    assert kernel_mod([[1, 1], [0, 2]], 4) == (8, [[0, 2]])
 
 
 SPAN_MODULI = (2, 3, 4, 6, 8, 9, 12, 30, 35, 2**40 + 15, 2**64 + 13)
@@ -227,6 +233,54 @@ def test_span_order_degenerate_shapes():
     assert span_order_mod([[-1, 0], [0, 7]], 6) == 36
     assert span_order_mod([[2, 3]], 6) == 6
     assert span_order_mod([[4], [6]], 2**64 + 13) == 2**64 + 13
+
+
+def _annihilates(relation, matrix, d):
+    cols = len(matrix[0]) if matrix else 0
+    return all(
+        sum(c * row[j] for c, row in zip(relation, matrix)) % d == 0 for j in range(cols)
+    )
+
+
+def test_kernel_relations_annihilate_and_order_matches_span_order():
+    rng = np.random.default_rng(20261019)
+    for case in range(1100):
+        d = SPAN_MODULI[case % len(SPAN_MODULI)]
+        rows = int(rng.integers(1, 8))
+        cols = int(rng.integers(0, 9))
+        matrix = [[_biased_entry(rng, d) for _ in range(cols)] for _ in range(rows)]
+        order, relations = kernel_mod(matrix, d)
+        assert order == span_order_mod(matrix, d), (d, matrix)
+        for c in relations:
+            assert len(c) == rows and any(c) and all(0 <= v < d for v in c)
+            assert _annihilates(c, matrix, d), (d, matrix, c)
+
+
+def _span_mod(vectors, d, k):
+    """Every Z_d-combination of ``vectors`` in Z_d^k, by closure under addition."""
+    span = {(0,) * k}
+    for v in vectors:
+        frontier = set(span)
+        while frontier:
+            frontier = {tuple((a + b) % d for a, b in zip(u, v)) for u in frontier} - span
+            span |= frontier
+    return span
+
+
+def test_kernel_relations_generate_the_brute_force_kernel():
+    # with D * e_j (zero mod D) the relations generate {c : c @ M = 0 (mod D)}
+    rng = np.random.default_rng(20261020)
+    for case in range(300):
+        d = (2, 3, 4, 6, 8, 9, 12)[case % 7]
+        k = int(rng.integers(1, 6))
+        while d**k > 4096:
+            k -= 1
+        cols = int(rng.integers(0, 6))
+        matrix = [[_biased_entry(rng, d) for _ in range(cols)] for _ in range(k)]
+        order, relations = kernel_mod(matrix, d)
+        kernel = {c for c in product(range(d), repeat=k) if _annihilates(c, matrix, d)}
+        assert len(kernel) * order == d**k, (d, matrix)
+        assert _span_mod(relations, d, k) == kernel, (d, matrix, relations)
 
 
 def test_integer_determinant():

@@ -163,7 +163,7 @@ def test_certificate_and_report_format():
     assert text.splitlines()[-1].startswith("PARTIAL n=3 d=2 searched=4")
 
 
-def test_claim_strength_follows_completeness_flag():
+def test_claim_strength_follows_graph_search_completeness():
     from stabame.search import graph_search_is_complete
 
     # prime d: graph states cover all stabilizer states (up to local Clifford)
@@ -173,8 +173,10 @@ def test_claim_strength_follows_completeness_flag():
     assert not graph_search_is_complete(6)
 
     result = search_ame(4, 2, mode="exhaustive")
-    assert "NO-STABILIZER-AME" in format_search_report(4, 2, result)
-    assert "NO-GRAPH-STATE-AME" in format_search_report(4, 2, result, complete=False)
+    assert format_search_report(4, 2, result).endswith("\nNO-STABILIZER-AME n=4 d=2\n")
+    result = search_ame(4, 4, mode="exhaustive")
+    assert not result.found
+    assert format_search_report(4, 4, result).endswith("\nNO-GRAPH-STATE-AME n=4 d=4\n")
     # a non-empty exhaustion never carries a claim line
     pair = search_ame(2, 2, mode="exhaustive")
     assert "NO-" not in format_search_report(2, 2, pair)

@@ -77,8 +77,8 @@ def test_validity_is_computed_once_per_group(monkeypatch):
     from stabame import ring
 
     calls = []
-    real = ring.smith_normal_form
-    monkeypatch.setattr(ring, "smith_normal_form", lambda m: calls.append(1) or real(m))
+    real = ring.kernel_mod
+    monkeypatch.setattr(ring, "kernel_mod", lambda m, d: calls.append(1) or real(m, d))
     g = ghz_group(6, 3)
     first = validate(g)
     assert validate(g) is first and g.validity is first
@@ -121,6 +121,33 @@ def test_phase_consistency_agrees_with_enumeration():
         good_elements = enumerate_elements(base).elements
         assert good.phase_consistent
         assert not [e for e in good_elements if e.is_phase_only() and e.phase_exp != 0]
+
+
+def _random_abelian_group(rng, d, n):
+    gens = []
+    while len(gens) < int(rng.integers(1, 4)):
+        cand = random_pauli(rng, d, n)
+        if all(symplectic_inner(cand, gen) == 0 for gen in gens):
+            gens.append(cand)
+    return StabilizerGroup(d, n, tuple(gens))
+
+
+def test_phase_consistency_and_order_match_enumeration_with_random_phases():
+    # Random phases make many generators of order 2D (lam * X at D = 2 squares
+    # to lam**2 * I): the relations mod D alone miss those, gen**D catches them.
+    rng = np.random.default_rng(107)
+    verdicts = []
+    for d in (2, 3, 4, 6):
+        for n in (1, 2):
+            for _ in range(150):
+                g = _random_abelian_group(rng, d, n)
+                elements = enumerate_elements(g).elements
+                consistent = not any(e.is_phase_only() and e.phase_exp for e in elements)
+                report = validate(g)
+                assert report.phase_consistent == consistent, g
+                assert report.order == len({(e.x_exp, e.z_exp) for e in elements}), g
+                verdicts.append(consistent)
+    assert min(verdicts.count(True), verdicts.count(False)) > 200
 
 
 # ---------------------------------------------------------------------------

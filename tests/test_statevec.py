@@ -3,10 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_graph_group
+from conftest import apply_pauli, haar_unitary, random_graph_group
 from enumeration import enumerate_elements
 from stabame.errors import BudgetExceededError
-from stabame.pauli import apply_to_vector, make_pauli, single_site
+from stabame.pauli import make_pauli, single_site
 from stabame.search import GraphState, graph_to_group
 from stabame.stabgroup import StabilizerGroup, bell_group, ghz_group
 from stabame.statevec import (
@@ -50,7 +50,7 @@ def test_state_from_group_ghz3_qutrits():
     st = state_from_group(g)
     # every generator fixes the state
     for gen in gens:
-        assert np.abs(apply_to_vector(gen, st.amplitudes) - st.amplitudes).max() < 1e-9
+        assert np.abs(apply_pauli(gen, st.amplitudes) - st.amplitudes).max() < 1e-9
     want = np.zeros(27, complex)
     want[0] = want[13] = want[26] = 1 / np.sqrt(3)  # |000>, |111>, |222>
     assert abs(np.vdot(st.amplitudes, want)) > 1 - 1e-9
@@ -77,7 +77,7 @@ def test_stabilization_of_every_group_element():
         g = random_graph_group(rng, d, n)
         st = state_from_group(g)
         for elem in enumerate_elements(g).elements:
-            assert np.abs(apply_to_vector(elem, st.amplitudes) - st.amplitudes).max() < 1e-9
+            assert np.abs(apply_pauli(elem, st.amplitudes) - st.amplitudes).max() < 1e-9
 
 
 def test_seed_independence():
@@ -94,7 +94,7 @@ def test_seed_independence():
             acc = vec.copy()
             cur = vec
             for _ in range(pauli_order(gen) - 1):
-                cur = apply_to_vector(gen, cur)
+                cur = apply_pauli(gen, cur)
                 acc += cur
             vec = acc / pauli_order(gen)
         norm = np.linalg.norm(vec)
