@@ -288,11 +288,7 @@ def merge_factors(dec: FactorDecomposition, subset: Sequence[int]) -> MergeResul
     state = None
     if dec.factor_states is not None:
         combined = tensor([dec.factor_states[i] for i in chosen])
-        perm = crt_unitary(f_merged)
-        inverse = [0] * d_merged
-        for j, target in enumerate(perm):
-            inverse[target] = j
-        state = permute_levels(combined, inverse)
+        state = permute_levels(combined, np.argsort(crt_unitary(f_merged)))
 
     factor_verdicts = [verify_ame_symbolic(dec.factor_groups[i]) for i in chosen]
     if all(v.is_ame for v in factor_verdicts):

@@ -183,6 +183,8 @@ def _emit_csv(table: NoGoTable) -> str:
 def parse_table_csv(text: str) -> dict[tuple[int, int], str]:
     """Read back the grid emitted by the CSV writer (reason comments ignored)."""
     rows = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not rows:
+        raise ValueError("empty CSV table")
     header = rows[0].split(",")
     if header[0] != "n\\D":
         raise ValueError(f"bad CSV header {rows[0]!r}")
@@ -190,8 +192,12 @@ def parse_table_csv(text: str) -> dict[tuple[int, int], str]:
     statuses: dict[tuple[int, int], str] = {}
     for row in rows[1:]:
         cols = row.split(",")
+        if len(cols) != len(header):
+            raise ValueError(f"CSV row {row!r} has {len(cols)} cells, header has {len(header)}")
         n = int(cols[0])
         for d, status in zip(dims, cols[1:]):
+            if status not in (CELL_EXCLUDED, CELL_WITNESS, CELL_UNKNOWN):
+                raise ValueError(f"unknown cell status {status!r} in CSV row {row!r}")
             statuses[(n, d)] = status
     return statuses
 

@@ -18,7 +18,6 @@ in the dense realization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -143,18 +142,6 @@ def symplectic_inner(a: PauliProduct, b: PauliProduct) -> int:
     return val % a.dimension
 
 
-def order(p: PauliProduct) -> int:
-    """Smallest k >= 1 with p**k = identity, phase included; divides 2D.
-
-    The Pauli part of p**k vanishes exactly when a = D / gcd(D, x, z) divides
-    k. Then p**a = lam**c is a pure phase and (p**a)**m = lam**(m*c), so the
-    order is a * 2D / gcd(2D, c).
-    """
-    d = p.dimension
-    a = d // math.gcd(d, *p.x_exp, *p.z_exp)
-    return a * (2 * d // math.gcd(2 * d, power(p, a).phase_exp))
-
-
 def dense_matrix(p: PauliProduct, max_dim: int = DEFAULT_MATRIX_DIM_BUDGET) -> np.ndarray:
     """Exact dense realization lam**phase * kron_k(X**x_k Z**z_k); unitary.
 
@@ -173,24 +160,31 @@ def dense_matrix(p: PauliProduct, max_dim: int = DEFAULT_MATRIX_DIM_BUDGET) -> n
     return np.exp(1j * np.pi * p.phase_exp / d) * mat
 
 
+def basis_dot(dimension: int, weights: Sequence[int]) -> np.ndarray:
+    """w . j mod D for every basis index j (party-major), built party by party."""
+    digits = np.arange(dimension)
+    out = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        out = np.add.outer(out, w * digits % dimension).ravel() % dimension
+    return out
+
+
 def vector_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
     """Index map and phases of p on the D**n computational basis states.
 
     On basis states: p |j_1..j_n> = lam**phase * omega**(z . j) |j - x mod D>,
     so p @ vec is ``out[target] = phases * vec``; callers that apply the same
-    element many times compute this pair once. Both arrays are built party by
-    party from length-D pieces, and the phases are read from a table of the D
-    values lam**phase * omega**m.
+    element many times compute this pair once. The index map is built party
+    by party from length-D pieces, z . j by :func:`basis_dot`, and the phases
+    are read from a table of the D values lam**phase * omega**m.
     """
     d = p.dimension
     digits = np.arange(d)
     target = np.zeros(1, dtype=np.int64)
-    z_weight = np.zeros(1, dtype=np.int64)
-    for x, z in zip(p.x_exp, p.z_exp):
+    for x in p.x_exp:
         target = np.add.outer(target * d, (digits - x) % d).ravel()
-        z_weight = np.add.outer(z_weight, z * digits % d).ravel() % d
     roots = np.exp(1j * np.pi * p.phase_exp / d) * np.exp(2j * np.pi * digits / d)
-    return target, roots[z_weight]
+    return target, roots[basis_dot(d, p.z_exp)]
 
 
 def format_pauli(p: PauliProduct) -> str:

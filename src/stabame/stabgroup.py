@@ -98,8 +98,10 @@ def validate(g: StabilizerGroup) -> ValidityReport:
 
     * abelian: all generator pairs have vanishing symplectic inner product.
     * order: size of the exponent-vector subgroup of Z_D^(2n), by elimination mod D.
-    * phase_consistent: every relation among the generators multiplies out to
-      the exact identity (phase exponent 0), checked on a relation basis.
+    * phase_consistent: the list is abelian and every relation among the
+      generators multiplies out to the exact identity (phase exponent 0),
+      checked on a relation basis. A non-abelian list always generates some
+      omega**s * I with s != 0, so it is never phase-consistent.
 
     The report is computed on the first call for a group object and cached on
     it, so every later check of the same group is free.
@@ -115,9 +117,11 @@ def _check_validity(g: StabilizerGroup) -> ValidityReport:
         for j in range(i + 1, len(gens))
     )
     order, relations = ring.kernel_mod(exponent_matrix(g), g.dimension)
-    phase_consistent = all(e.phase_exp == 0 for e in _relation_elements(g, relations))
+    phase_consistent = abelian and all(
+        e.phase_exp == 0 for e in _relation_elements(g, relations)
+    )
     full = order == g.dimension**g.parties
-    return ValidityReport(abelian, order, phase_consistent, abelian and phase_consistent and full)
+    return ValidityReport(abelian, order, phase_consistent, phase_consistent and full)
 
 
 def sylow_component(

@@ -3,30 +3,32 @@
 Index convention: party-major, one base-D digit per party, so basis index
 sum_k j_k * D**(n-1-k) holds |j_1 ... j_n>. Composite-dimension digits relate
 to per-factor digits through the CRT split; :func:`tensor` composes factor
-states in exactly that digit ordering so serialized states stay portable.
+states in exactly that digit ordering.
 
 Equality of states is always up to global phase, via |<a|b>| > 1 - tol.
 
-Everything runs as whole-array steps. :func:`state_from_group` applies each
-generator's averaging projector by gathers (``cur = phases[source] *
-cur[source]``, with the inverse index map and its phases computed once per
-generator). :func:`reduced_density` builds its table by reshaping the
-amplitudes to one axis per party and transposing the kept parties first.
+Everything runs as whole-array steps. :func:`state_from_group` projects one
+seed on the state's support by gathers (``cur = phases[source] * cur[source]``)
+through the generators that move it. :func:`reduced_density` (kept parties
+transposed first), :func:`tensor` and :func:`permute_levels` work on the
+amplitudes reshaped to one axis per party.
 :class:`ReducedDensity` tests positive semidefiniteness by a Cholesky
 factorization of ``matrix + NORM_TOL * I``, i.e. lambda_min > -NORM_TOL.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import ring
 from .errors import BudgetExceededError
-from .pauli import order, vector_action
-from .stabgroup import StabilizerGroup, validate
+from .pauli import basis_dot, vector_action
+from .stabgroup import StabilizerGroup, generator_product, validate
 
 DEFAULT_DENSE_BUDGET = 100_000
 
@@ -48,7 +50,7 @@ class DenseState:
         if self.amplitudes.shape != (size,):
             raise ValueError(f"expected {size} amplitudes, got shape {self.amplitudes.shape}")
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
 
@@ -64,9 +66,11 @@ class ReducedDensity:
         r = self.matrix.shape[0]
         if self.matrix.shape != (r, r):
             raise ValueError("density matrix must be square")
-        if np.abs(self.matrix - self.matrix.conj().T).max() > ALGEBRA_TOL:
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("density matrix has non-finite entries")
+        if not np.abs(self.matrix - self.matrix.conj().T).max() <= ALGEBRA_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(self.matrix).real - 1.0) > NORM_TOL:
+        if not abs(np.trace(self.matrix).real - 1.0) <= NORM_TOL:
             raise ValueError("density matrix trace is not 1")
         try:
             np.linalg.cholesky(self.matrix + NORM_TOL * np.eye(r))
@@ -109,11 +113,21 @@ def state_from_group(
 ) -> DenseState:
     """Synthesize the unique state fixed by a valid stabilizer group.
 
-    Applies the averaging projector (1/ord) sum_k gen**k of every generator to
-    a computational basis seed, trying seeds until the projection survives
-    (norm > 1e-6 before normalization). For a valid group the projectors
-    commute and their product is the rank-one projector onto the state, so
-    some seed always survives.
+    The support of the state is a coset j0 + X_G of the span X_G of the
+    generators' X exponents (Hostens, Dehaene and De Moor, PRA 71, 042315,
+    2005). The relations among the X rows (one ``ring.kernel_mod`` call)
+    multiply out to the group's diagonal elements lam**c Z**z, and such an
+    element fixes |j> exactly when c + 2 z.j = 0 (mod 2D). Their z parts are
+    the annihilator of X_G, so the basis states fixed by all of them are
+    exactly the support; the first one is the seed.
+
+    A generator with X part x maps the support onto itself, and gen**a for
+    a = D / gcd(D, x) is diagonal and in the group, so it fixes every vector
+    on the support. Averaging over the first a powers is therefore the
+    generator's projector there; generators without an X part fix the
+    support states and are skipped. The product of the projectors is the
+    rank-one projector onto the state, which the seed overlaps, so exactly
+    one seed is projected.
     """
     report = validate(g)
     if not report.stabilizes_unique_state:
@@ -122,29 +136,32 @@ def state_from_group(
             f"(abelian={report.abelian}, order={report.order}, "
             f"phase_consistent={report.phase_consistent})"
         )
-    size = g.dimension**g.parties
+    d = g.dimension
+    size = d**g.parties
     if size > dense_budget:
         raise BudgetExceededError(f"dense size {size} exceeds budget {dense_budget}")
-    actions = []
+    _, relations = ring.kernel_mod([list(gen.x_exp) for gen in g.generators], d)
+    on_support = np.ones(size, dtype=bool)
+    for c in relations:
+        diagonal = generator_product(g, c)
+        on_support &= (diagonal.phase_exp + 2 * basis_dot(d, diagonal.z_exp)) % (2 * d) == 0
+    vec = np.zeros(size, dtype=complex)
+    vec[np.argmax(on_support)] = 1.0
     for gen in g.generators:
+        a = d // math.gcd(d, *gen.x_exp)
+        if a == 1:
+            continue
         target, phases = vector_action(gen)
         source = np.empty(size, dtype=np.int64)
         source[target] = np.arange(size)
-        actions.append((source, phases[source], order(gen)))
-    for seed in range(size):
-        vec = np.zeros(size, dtype=complex)
-        vec[seed] = 1.0
-        for source, phases_src, m in actions:
-            acc = vec.copy()
-            cur = vec
-            for _ in range(m - 1):
-                cur = phases_src * cur[source]
-                acc += cur
-            vec = acc / m
-        norm = np.linalg.norm(vec)
-        if norm > 1e-6:
-            return DenseState(g.dimension, g.parties, vec / norm)
-    raise RuntimeError("no basis seed survived projection; this indicates a bug")
+        phases_src = phases[source]
+        acc = vec.copy()
+        cur = vec
+        for _ in range(a - 1):
+            cur = phases_src * cur[source]
+            acc += cur
+        vec = acc / a
+    return DenseState(d, g.parties, vec / np.linalg.norm(vec))
 
 
 def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
@@ -200,24 +217,15 @@ def tensor(states: Sequence[DenseState]) -> DenseState:
     n = states[0].parties
     if any(s.parties != n for s in states):
         raise ValueError("all factor states must share the party count")
-    dims = [s.dimension for s in states]
-    big_d = int(np.prod(dims))
-    weights = [int(np.prod(dims[i + 1 :])) for i in range(len(dims))]
-
-    total_idx = np.zeros(1, dtype=np.int64)
-    amps = np.ones(1, dtype=complex)
-    for s, w in zip(states, weights):
-        q = s.dimension
-        local = np.arange(q**n)
-        contrib = np.zeros(q**n, dtype=np.int64)
-        for k in range(n):
-            digit = (local // q ** (n - 1 - k)) % q
-            contrib += digit * (w * big_d ** (n - 1 - k))
-        total_idx = (total_idx[:, None] + contrib[None, :]).ravel()
-        amps = np.multiply.outer(amps, s.amplitudes).ravel()
-    out = np.zeros(big_d**n, dtype=complex)
-    out[total_idx] = amps
-    return DenseState(big_d, n, out)
+    # the outer product of the per-factor (q_i,)*n arrays, each broadcast
+    # straight into axes k*m + i (party k, factor i): party-major, factor-minor
+    m = len(states)
+    amps = np.ones((1,) * (n * m), dtype=complex)
+    for i, s in enumerate(states):
+        shape = [1] * (n * m)
+        shape[i::m] = [s.dimension] * n
+        amps = amps * s.amplitudes.reshape(shape)
+    return DenseState(math.prod(s.dimension for s in states), n, amps.reshape(-1))
 
 
 def permute_levels(state: DenseState, perm: Sequence[int]) -> DenseState:
@@ -226,18 +234,9 @@ def permute_levels(state: DenseState, perm: Sequence[int]) -> DenseState:
     perm = list(perm)
     if sorted(perm) != list(range(d)):
         raise ValueError(f"perm must be a permutation of 0..{d - 1}")
-    n = state.parties
-    size = d**n
-    idx = np.arange(size)
-    target = np.zeros(size, dtype=np.int64)
-    lut = np.asarray(perm, dtype=np.int64)
-    for k in range(n):
-        w = d ** (n - 1 - k)
-        digit = (idx // w) % d
-        target += lut[digit] * w
-    out = np.empty(size, dtype=complex)
-    out[target] = state.amplitudes
-    return DenseState(d, n, out)
+    inv = np.argsort(perm)
+    amps = state.amplitudes.reshape((d,) * state.parties)[np.ix_(*[inv] * state.parties)]
+    return DenseState(d, state.parties, amps.reshape(-1))
 
 
 def apply_local_unitary(state: DenseState, unitaries: Sequence[np.ndarray]) -> DenseState:
@@ -255,24 +254,3 @@ def apply_local_unitary(state: DenseState, unitaries: Sequence[np.ndarray]) -> D
         vec = np.einsum("ab,ibj->iaj", u, view).reshape(-1)
     norm = np.linalg.norm(vec)
     return DenseState(d, n, vec / norm)
-
-
-def format_state_dump(state: DenseState) -> str:
-    """Debug dump: line ``D n`` then D**n lines ``re im`` in index order."""
-    lines = [f"{state.dimension} {state.parties}"]
-    lines.extend(f"{float(a.real)!r} {float(a.imag)!r}" for a in state.amplitudes)
-    return "\n".join(lines) + "\n"
-
-
-def parse_state_dump(text: str) -> DenseState:
-    body = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not body:
-        raise ValueError("empty state dump")
-    head = body[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad state dump header {body[0]!r}")
-    d, n = map(int, head)
-    if len(body) - 1 != d**n:
-        raise ValueError(f"expected {d**n} amplitude lines, got {len(body) - 1}")
-    amps = np.array([complex(float(a), float(b)) for a, b in (ln.split() for ln in body[1:])])
-    return DenseState(d, n, amps)

@@ -11,9 +11,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from stabame.pauli import PauliProduct, make_pauli, vector_action
+from stabame.pauli import PauliProduct, make_pauli, multiply, vector_action
 from stabame.search import GraphState, graph_to_group
-from stabame.stabgroup import StabilizerGroup
+from stabame.stabgroup import StabilizerGroup, generator_product
 
 
 def ref_x_matrix(d: int) -> np.ndarray:
@@ -50,6 +50,44 @@ def apply_pauli(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def order_by_multiplication(p: PauliProduct) -> int:
+    """Smallest k >= 1 with p**k = identity, by repeated multiply (no power)."""
+    acc, k = p, 1
+    while not acc.is_identity():
+        acc, k = multiply(acc, p), k + 1
+    return k
+
+
+def seed_projections(g: StabilizerGroup):
+    """Synthesis by trial seeds: the oracle for ``state_from_group``.
+
+    Every basis seed, in index order, goes through each generator's full
+    averaging projector (1/ord) sum_k gen**k, by gathers; yields
+    (seed, normalized vector) for every seed whose projection keeps a norm
+    above 1e-6. For a valid group each one is the stabilized state.
+    """
+    size = g.dimension**g.parties
+    actions = []
+    for gen in g.generators:
+        target, phases = vector_action(gen)
+        source = np.empty(size, dtype=np.int64)
+        source[target] = np.arange(size)
+        actions.append((source, phases[source], order_by_multiplication(gen)))
+    for seed in range(size):
+        vec = np.zeros(size, dtype=complex)
+        vec[seed] = 1.0
+        for source, phases_src, m in actions:
+            acc = vec.copy()
+            cur = vec
+            for _ in range(m - 1):
+                cur = phases_src * cur[source]
+                acc += cur
+            vec = acc / m
+        norm = np.linalg.norm(vec)
+        if norm > 1e-6:
+            yield seed, vec / norm
+
+
 def random_pauli(rng: np.random.Generator, d: int, n: int) -> PauliProduct:
     return make_pauli(
         d, n, int(rng.integers(0, 2 * d)), rng.integers(0, d, n), rng.integers(0, d, n)
@@ -66,6 +104,20 @@ def random_graph(rng: np.random.Generator, d: int, n: int) -> GraphState:
 
 def random_graph_group(rng: np.random.Generator, d: int, n: int) -> StabilizerGroup:
     return graph_to_group(random_graph(rng, d, n))
+
+
+def unimodular_mix(rng: np.random.Generator, g: StabilizerGroup) -> StabilizerGroup:
+    """The same group on generators changed by a random unimodular matrix."""
+    d, k = g.dimension, len(g.generators)
+    u = np.eye(k, dtype=np.int64)
+    for _ in range(3 * k):
+        i, j = rng.choice(k, size=2, replace=False)
+        u[i] = (u[i] + int(rng.integers(1, d)) * u[j]) % d
+    return StabilizerGroup(
+        d,
+        g.parties,
+        tuple(generator_product(g, [int(c) for c in row]) for row in u[rng.permutation(k)]),
+    )
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

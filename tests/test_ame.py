@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_graph_group, ref_x_matrix, ref_z_matrix
+from conftest import (
+    random_graph,
+    random_graph_group,
+    ref_x_matrix,
+    ref_z_matrix,
+    unimodular_mix,
+)
 from enumeration import first_supported_subset
 from stabame.ame import (
     crt_coefficients,
@@ -19,7 +25,6 @@ from stabame.search import GraphState, graph_to_group, num_edge_slots, search_am
 from stabame.stabgroup import (
     StabilizerGroup,
     bell_group,
-    generator_product,
     ghz_group,
     parse_generator_file,
     validate,
@@ -139,18 +144,6 @@ def test_symbolic_enumeration_and_counting_paths_agree():
                 _assert_matches_enumeration(random_graph_group(rng, d, n))
 
 
-def _unimodular_mix(rng, g):
-    """The same group on generators changed by a random unimodular matrix."""
-    d, n = g.dimension, g.parties
-    u = np.eye(n, dtype=np.int64)
-    for _ in range(3 * n):
-        i, j = rng.choice(n, size=2, replace=False)
-        u[i] = (u[i] + int(rng.integers(1, d)) * u[j]) % d
-    return StabilizerGroup(
-        d, n, tuple(generator_product(g, [int(c) for c in row]) for row in u[rng.permutation(n)])
-    )
-
-
 def _ame_graph(rng, d, n):
     """CRT combination of random AME graphs at the prime-power factors of d,
     each drawn by rejection sampling with the block-minor search as judge."""
@@ -186,7 +179,7 @@ def test_symbolic_verifier_matches_enumeration_on_mixed_graph_groups(parties, di
     rng = np.random.default_rng(1000 * parties + dimension)
     for _ in range(2):
         graph = (_ame_graph if kind == "ame" else random_graph)(rng, dimension, parties)
-        g = _unimodular_mix(rng, graph_to_group(graph))
+        g = unimodular_mix(rng, graph_to_group(graph))
         if kind == "ame":
             assert verify_ame_symbolic(g).is_ame
         _assert_matches_enumeration(g)

@@ -95,19 +95,38 @@ def test_verify_rejects_groups_without_parties_or_dimension(tmp_path, capsys):
 
 
 def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
-    from stabame import ring
+    from stabame import ame, ring
 
     calls = []
-    real = ring.kernel_mod
-    monkeypatch.setattr(ring, "kernel_mod", lambda m, d: calls.append(1) or real(m, d))
-    ame = tmp_path / "bell.gens"
-    run(["construct", "bell", "--dim", "6", "--out", str(ame)])
-    assert run(["verify", str(ame), "--method", "both", "--out", str(tmp_path / "a")]) == 0
+    synthesized = []
+    real_kernel = ring.kernel_mod
+    real_synthesis = ame.state_from_group
+
+    def counted_kernel(rows, d):
+        calls.append(rows)
+        return real_kernel(rows, d)
+
+    def counted_synthesis(g, **kwargs):
+        before = len(calls)
+        state = real_synthesis(g, **kwargs)
+        # exactly one elimination per synthesized state, on its X rows
+        assert calls[before:] == [[list(gen.x_exp) for gen in g.generators]]
+        del calls[before:]
+        synthesized.append(g)
+        return state
+
+    monkeypatch.setattr(ring, "kernel_mod", counted_kernel)
+    monkeypatch.setattr(ame, "state_from_group", counted_synthesis)
+    ame_file = tmp_path / "bell.gens"
+    run(["construct", "bell", "--dim", "6", "--out", str(ame_file)])
+    assert run(["verify", str(ame_file), "--method", "both", "--out", str(tmp_path / "a")]) == 0
     assert len(calls) == 1  # validation only: no transform per subset
+    assert len(synthesized) == 1
     not_ame = tmp_path / "prod.gens"
     not_ame.write_text("6 2 2\n0 | 0 0 | 1 0\n0 | 0 0 | 0 1\n")
     assert run(["verify", str(not_ame), "--method", "both", "--out", str(tmp_path / "b")]) == 1
     assert len(calls) == 3  # validation and the witness of the first failing subset
+    assert len(synthesized) == 2
 
 
 def test_main_dispatches_through_the_module_names(monkeypatch):

@@ -146,6 +146,24 @@ def test_csv_single_unknown_cell():
     assert text == "n\\D,2\n2,unknown\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n\n",
+        "# reason only\n",
+        "n\\D,2,3\n4,unknown\n",
+        "n\\D,2\n4,unknown,witness\n",
+        "n\\D,2\n4,maybe\n",
+        "n\\D,2\n4,\n",
+        "n,2\n4,unknown\n",
+    ],
+)
+def test_parse_table_csv_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_table_csv(text)
+
+
 def test_svg_is_valid_xml_and_deterministic():
     table = propagate(default_facts(), max_parties=8, max_dim=36)
     svg1 = emit_table(table, "svg")

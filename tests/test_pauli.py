@@ -9,7 +9,6 @@ from stabame.pauli import (
     format_pauli,
     make_pauli,
     multiply,
-    order,
     parse_pauli,
     power,
     single_site,
@@ -169,48 +168,6 @@ def test_symplectic_matches_dense_commutator():
         ad, bd = dense_matrix(a), dense_matrix(b)
         commutes = np.abs(ad @ bd - bd @ ad).max() < ALG_TOL
         assert (symplectic_inner(a, b) == 0) == commutes
-
-
-def test_order_examples():
-    assert order(PauliProduct.identity(2, 1)) == 1
-    assert order(single_site(6, 1, 0, x=1)) == 6
-    assert order(make_pauli(2, 1, 2)) == 2  # -identity on a qubit
-
-
-def test_order_divides_2d():
-    rng = np.random.default_rng(31)
-    for d in (2, 3, 4, 6):
-        for _ in range(10):
-            p = random_pauli(rng, d, 2)
-            k = order(p)
-            assert (2 * d) % k == 0
-            assert power(p, k).is_identity()
-            for smaller in range(1, k):
-                if k % smaller == 0:
-                    assert not power(p, smaller).is_identity()
-
-
-def _order_by_multiplication(p):
-    """Smallest k >= 1 with p**k = identity, by repeated multiply (no power)."""
-    acc, k = p, 1
-    while not acc.is_identity():
-        acc, k = multiply(acc, p), k + 1
-    return k
-
-
-def test_order_matches_brute_force():
-    # every single-qudit element with D <= 12, then seeded three-qudit ones
-    for d in range(2, 13):
-        for gamma in range(2 * d):
-            for x in range(d):
-                for z in range(d):
-                    p = make_pauli(d, 1, gamma, [x], [z])
-                    assert order(p) == _order_by_multiplication(p), p
-    rng = np.random.default_rng(53)
-    for d in (2, 4, 6, 12, 30):
-        for _ in range(40):
-            p = random_pauli(rng, d, 3)
-            assert order(p) == _order_by_multiplication(p), p
 
 
 def test_vector_action_is_the_dense_matrix():

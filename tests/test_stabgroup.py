@@ -123,13 +123,22 @@ def test_phase_consistency_agrees_with_enumeration():
         assert not [e for e in good_elements if e.is_phase_only() and e.phase_exp != 0]
 
 
-def _random_abelian_group(rng, d, n):
+def _random_generator_list(rng, d, n, abelian=True):
     gens = []
     while len(gens) < int(rng.integers(1, 4)):
         cand = random_pauli(rng, d, n)
-        if all(symplectic_inner(cand, gen) == 0 for gen in gens):
+        if not abelian or all(symplectic_inner(cand, gen) == 0 for gen in gens):
             gens.append(cand)
     return StabilizerGroup(d, n, tuple(gens))
+
+
+def _assert_validate_matches_enumeration(g):
+    elements = enumerate_elements(g).elements
+    consistent = not any(e.is_phase_only() and e.phase_exp for e in elements)
+    report = validate(g)
+    assert report.phase_consistent == consistent, g
+    assert report.order == len({(e.x_exp, e.z_exp) for e in elements}), g
+    return consistent
 
 
 def test_phase_consistency_and_order_match_enumeration_with_random_phases():
@@ -140,14 +149,24 @@ def test_phase_consistency_and_order_match_enumeration_with_random_phases():
     for d in (2, 3, 4, 6):
         for n in (1, 2):
             for _ in range(150):
-                g = _random_abelian_group(rng, d, n)
-                elements = enumerate_elements(g).elements
-                consistent = not any(e.is_phase_only() and e.phase_exp for e in elements)
-                report = validate(g)
-                assert report.phase_consistent == consistent, g
-                assert report.order == len({(e.x_exp, e.z_exp) for e in elements}), g
-                verdicts.append(consistent)
+                g = _random_generator_list(rng, d, n)
+                verdicts.append(_assert_validate_matches_enumeration(g))
     assert min(verdicts.count(True), verdicts.count(False)) > 200
+    # a non-abelian list contains a commutator omega**s * I with s != 0;
+    # two qudits only at small D keep the enumerated groups small
+    non_abelian = 0
+    for d, n in ((2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (3, 2)):
+        for _ in range(60):
+            g = _random_generator_list(rng, d, n, abelian=False)
+            consistent = _assert_validate_matches_enumeration(g)
+            if not validate(g).abelian:
+                assert not consistent
+                non_abelian += 1
+    assert non_abelian > 150
+    for d in (2, 3, 4, 6):
+        x, z = single_site(d, 1, 0, x=1), single_site(d, 1, 0, z=1)
+        report = validate(StabilizerGroup(d, 1, (x, z)))
+        assert not report.abelian and not report.phase_consistent
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,26 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import apply_pauli, haar_unitary, random_graph_group
+from conftest import (
+    apply_pauli,
+    haar_unitary,
+    random_graph_group,
+    random_pauli,
+    seed_projections,
+    unimodular_mix,
+)
 from enumeration import enumerate_elements
 from stabame.errors import BudgetExceededError
-from stabame.pauli import make_pauli, single_site
+from stabame.pauli import make_pauli, multiply, power, single_site
 from stabame.search import GraphState, graph_to_group
-from stabame.stabgroup import StabilizerGroup, bell_group, ghz_group
+from stabame.stabgroup import StabilizerGroup, bell_group, ghz_group, validate
 from stabame.statevec import (
     DenseState,
     ReducedDensity,
     apply_local_unitary,
     basis_state,
     fidelity,
-    format_state_dump,
     is_maximally_mixed,
-    parse_state_dump,
     permute_levels,
     reduced_density,
     state_from_group,
@@ -31,6 +36,19 @@ def test_dense_state_requires_normalization():
     with pytest.raises(ValueError):
         DenseState(2, 1, np.array([1.0, 1.0]))
     DenseState(2, 1, np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_dense_contracts_reject_non_finite_values(bad):
+    for amps in ([bad, bad], [1.0, bad], [bad, 0.0]):
+        with pytest.raises(ValueError, match="not normalized"):
+            DenseState(2, 1, np.array(amps))
+    for k in range(2):
+        for j in range(2):
+            matrix = np.eye(2, dtype=complex) / 2
+            matrix[k, j] = bad
+            with pytest.raises(ValueError):
+                ReducedDensity((0,), matrix)
 
 
 def test_state_from_group_bell():
@@ -80,27 +98,109 @@ def test_stabilization_of_every_group_element():
             assert np.abs(apply_pauli(elem, st.amplitudes) - st.amplitudes).max() < 1e-9
 
 
-def test_seed_independence():
-    # project every surviving basis seed by hand; all must give the same state
-    g = bell_group(3)
-    st = state_from_group(g)
-    size = 9
-    from stabame.pauli import order as pauli_order
+def _assert_same_up_to_phase(got, want):
+    k = int(np.argmax(np.abs(want)))
+    phase = got[k] / want[k]
+    assert abs(abs(phase) - 1) < 1e-12
+    assert np.abs(got - phase * want).max() < 1e-12
 
-    for seed in range(size):
-        vec = np.zeros(size, complex)
-        vec[seed] = 1.0
-        for gen in g.generators:
-            acc = vec.copy()
-            cur = vec
-            for _ in range(pauli_order(gen) - 1):
-                cur = apply_pauli(gen, cur)
-                acc += cur
-            vec = acc / pauli_order(gen)
-        norm = np.linalg.norm(vec)
-        if norm > 1e-6:
-            candidate = DenseState(3, 2, vec / norm)
-            assert states_equal(candidate, st)
+
+def _assert_matches_oracle(g):
+    _, want = next(seed_projections(g))
+    _assert_same_up_to_phase(state_from_group(g).amplitudes, want)
+    return want
+
+
+def _fourier(g, parties):
+    """The group of the state with the Fourier transform F applied on ``parties``.
+
+    F X F^-1 = Z**-1 and F Z F^-1 = X, so X**x Z**z on such a party becomes
+    Z**-x X**z = omega**(x z) X**z Z**-x.
+    """
+    d, gens = g.dimension, []
+    for gen in g.generators:
+        phase, x, z = gen.phase_exp, list(gen.x_exp), list(gen.z_exp)
+        for k in parties:
+            phase += 2 * x[k] * z[k]
+            x[k], z[k] = z[k], -x[k]
+        gens.append(make_pauli(d, g.parties, phase, x, z))
+    return StabilizerGroup(d, g.parties, tuple(gens))
+
+
+def _conjugate(g, p):
+    """The group of p|psi>: every generator conjugated by the Pauli element p."""
+    inverse = power(p, -1)
+    gens = tuple(multiply(multiply(p, gen), inverse) for gen in g.generators)
+    return StabilizerGroup(g.dimension, g.parties, gens)
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 3), (5, 2), (6, 2), (6, 3), (10, 2)])
+def test_state_from_group_matches_oracle_on_mixed_graph_groups(d, n):
+    rng = np.random.default_rng(100 * n + d)
+    for _ in range(4):
+        _assert_matches_oracle(unimodular_mix(rng, random_graph_group(rng, d, n)))
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 3), (6, 2), (6, 3), (8, 2), (12, 2)])
+def test_state_from_group_matches_oracle_off_index_zero(d, n):
+    # local Fourier transforms shrink the support to a coset of a proper
+    # subgroup; a random Pauli then shifts it, mostly off index 0
+    rng = np.random.default_rng(200 * n + d)
+    off_zero = 0
+    for _ in range(6):
+        parties = [k for k in range(n) if rng.integers(0, 2)]
+        g = _fourier(random_graph_group(rng, d, n), parties)
+        g = unimodular_mix(rng, _conjugate(g, random_pauli(rng, d, n)))
+        assert validate(g).stabilizes_unique_state
+        off_zero += _assert_matches_oracle(g)[0] == 0
+    assert off_zero >= 2
+
+
+def _divisor_group(d, a, b=None):
+    """<X**a, Z**(d/a)> on one qudit, times <X**b, Z**(d/b)> on a second one."""
+    sizes = [a] if b is None else [a, b]
+    gens = []
+    for site, step in enumerate(sizes):
+        gens.append(single_site(d, len(sizes), site, x=step))
+        gens.append(single_site(d, len(sizes), site, z=d // step))
+    return StabilizerGroup(d, len(sizes), tuple(gens))
+
+
+def test_state_from_group_non_unit_x_parts():
+    st = state_from_group(_divisor_group(4, 2))  # <X^2, Z^2>: (|0> + |2>) / sqrt(2)
+    _assert_same_up_to_phase(st.amplitudes, np.array([1, 0, 1, 0]) / np.sqrt(2))
+    rng = np.random.default_rng(211)
+    for d in (4, 6, 8, 9, 12):
+        steps = [a for a in range(2, d) if d % a == 0]
+        for a in steps:
+            _assert_matches_oracle(_divisor_group(d, a))
+            g = _conjugate(_divisor_group(d, a), random_pauli(rng, d, 1))
+            _assert_matches_oracle(unimodular_mix(rng, g))
+            b = steps[int(rng.integers(0, len(steps)))]
+            g = _conjugate(_divisor_group(d, a, b), random_pauli(rng, d, 2))
+            _assert_matches_oracle(unimodular_mix(rng, g))
+
+
+def test_state_from_group_far_support_is_one_seed():
+    # omega * Z_v fixes |5> at D = 6, so the state is |5...5>, the last index
+    gens = tuple(single_site(6, 5, v, z=1, phase_exp=2) for v in range(5))
+    st = state_from_group(StabilizerGroup(6, 5, gens))
+    assert st.amplitudes[7775] == 1.0
+    assert np.count_nonzero(st.amplitudes) == 1
+
+
+def test_seed_independence():
+    # every seed the oracle's projector keeps gives the synthesized state
+    rng = np.random.default_rng(223)
+    groups = [bell_group(3), ghz_group(4, 2), _divisor_group(6, 2, 3)]
+    groups.append(_conjugate(_fourier(ghz_group(3, 3), [1]), random_pauli(rng, 3, 3)))
+    for g in groups:
+        st = state_from_group(g)
+        seeds = 0
+        for _, vec in seed_projections(g):
+            _assert_same_up_to_phase(vec, st.amplitudes)
+            seeds += 1
+        assert seeds > 1
 
 
 def test_reduced_density_bell():
@@ -332,22 +432,6 @@ def test_permute_levels_roundtrip():
         inverse[t] = j
     back = permute_levels(permute_levels(st, perm), inverse)
     assert np.abs(back.amplitudes - st.amplitudes).max() < 1e-12
-
-
-def test_state_dump_roundtrip():
-    st = state_from_group(ghz_group(3, 2))
-    again = parse_state_dump(format_state_dump(st))
-    assert again.dimension == 3 and again.parties == 2
-    assert np.abs(again.amplitudes - st.amplitudes).max() == 0.0
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["", "\n\n", "# comment only\n", "3 2\n", "# dump\n2 1\n", "2\n1.0 0.0\n0.0 0.0\n"],
-)
-def test_state_dump_rejects_empty_and_truncated(text):
-    with pytest.raises(ValueError):
-        parse_state_dump(text)
 
 
 def test_fidelity_global_phase():
