@@ -169,6 +169,8 @@ def verify_ame(
     """
     if method not in ("symbolic", "dense", "both"):
         raise ValueError(f"unknown method {method!r}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     sym = verify_ame_symbolic(g) if method != "dense" else None
     if method == "symbolic":
         return sym
@@ -196,17 +198,14 @@ def verify_ame(
 
 
 def decompose(
-    g: StabilizerGroup,
-    dense: str | bool = "auto",
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
+    g: StabilizerGroup, dense_budget: int = DEFAULT_DENSE_BUDGET
 ) -> FactorDecomposition:
     """Split a stabilizer group over composite D into prime-power factor groups.
 
     For each factor: take the Sylow component, then re-express it over the
-    factor dimension. With ``dense`` enabled (default: automatic, whenever the
-    system fits the budget), the factor states are synthesized and the tensor
-    of the factors is checked against the CRT-relabeled original state with
-    fidelity > 1 - 1e-9; a violation raises.
+    factor dimension. When D**n fits ``dense_budget``, the factor states are
+    synthesized and the tensor of the factors is checked against the
+    CRT-relabeled original state with fidelity > 1 - 1e-9; a violation raises.
     """
     report = validate(g)
     if not report.stabilizes_unique_state:
@@ -217,9 +216,8 @@ def decompose(
     )
     perm = crt_unitary(f)
 
-    want_dense = dense if isinstance(dense, bool) else g.dimension**g.parties <= dense_budget
     factor_states = None
-    if want_dense:
+    if g.dimension**g.parties <= dense_budget:
         factor_states = tuple(
             state_from_group(fg, dense_budget=dense_budget) for fg in factor_groups
         )

@@ -5,7 +5,7 @@ and communicates through its exit code. All outputs are deterministic given
 the inputs; nothing is written to stderr on success.
 
 verify exit codes: 0 = AME, 1 = not AME, 2 = input is not a stabilizer-state
-group. Other subcommands: 0 on success, 1 on error.
+group. Other subcommands: 0 on success. Every error, usage errors too, exits 1.
 """
 
 from __future__ import annotations
@@ -59,9 +59,8 @@ def cmd_construct(args) -> int:
     else:  # graph
         if args.adjacency is None:
             raise ValueError("graph requires --adjacency with the upper-triangle entries")
-        entries = [int(tok) for tok in args.adjacency.split()]
-        graph = search.graph_from_upper(args.dim, args.parties, entries)
-        group = search.graph_to_group(graph)
+        entries = tuple(int(tok) for tok in args.adjacency.split())
+        group = search.graph_to_group(search.GraphState(args.dim, args.parties, entries))
         comment = f"graph D={args.dim} n={args.parties} upper={' '.join(map(str, entries))}"
     _write_output(format_generator_file(group, header_comment=comment), args.out)
     return 0
@@ -99,7 +98,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     group = _read_group(args.gens)
-    dec = ame.decompose(group, dense="auto", dense_budget=args.dense_budget)
+    dec = ame.decompose(group, dense_budget=args.dense_budget)
     verdicts = ame.reduce_ame(group, dec) if args.verify else []
     text = ame.format_decomposition_report(dec, verdicts)
     _write_output(text, args.out)
@@ -188,7 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed --help (0) or a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (

@@ -170,21 +170,22 @@ def basis_dot(dimension: int, weights: Sequence[int]) -> np.ndarray:
 
 
 def vector_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
-    """Index map and phases of p on the D**n computational basis states.
+    """Source map and phases of p on the D**n computational basis states.
 
     On basis states: p |j_1..j_n> = lam**phase * omega**(z . j) |j - x mod D>,
-    so p @ vec is ``out[target] = phases * vec``; callers that apply the same
-    element many times compute this pair once. The index map is built party
-    by party from length-D pieces, z . j by :func:`basis_dot`, and the phases
-    are read from a table of the D values lam**phase * omega**m.
+    so p @ vec is the gather ``phases * vec[source]`` with source i + x mod D
+    and the phase read there, omega**(z . i + z . x). The source map is built
+    party by party from length-D pieces, z . i by :func:`basis_dot`, and the
+    phases come from a table of the D values lam**phase * omega**m.
     """
     d = p.dimension
     digits = np.arange(d)
-    target = np.zeros(1, dtype=np.int64)
+    source = np.zeros(1, dtype=np.int64)
     for x in p.x_exp:
-        target = np.add.outer(target * d, (digits - x) % d).ravel()
+        source = np.add.outer(source * d, (digits + x) % d).ravel()
+    zx = sum(z * x for z, x in zip(p.z_exp, p.x_exp))
     roots = np.exp(1j * np.pi * p.phase_exp / d) * np.exp(2j * np.pi * digits / d)
-    return target, roots[basis_dot(d, p.z_exp)]
+    return source, roots[(basis_dot(d, p.z_exp) + zx) % d]
 
 
 def format_pauli(p: PauliProduct) -> str:

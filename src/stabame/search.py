@@ -13,7 +13,8 @@ unit mod d, only their gcd with d must be 1.
 
 The search decodes chunks of candidates into numpy arrays and computes every
 maximal minor exactly, by cofactor expansion with a reduction mod d after
-every product. Only witnesses become :class:`GraphState` objects. The
+every product. A witness is a :class:`GraphState` built straight from its
+decoded row, since a graph is stored as its upper triangle. The
 symbolic verifier in :mod:`stabame.ame` reaches the same verdicts on
 :func:`graph_to_group` and serves as the test oracle.
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -65,49 +65,38 @@ def graph_search_is_complete(dimension: int) -> bool:
     return f.num_factors == 1 and f.factors[0][1] == 1
 
 
-@dataclass(frozen=True)
-class GraphState:
-    """A Z_d-weighted graph on ``parties`` vertices (symmetric, zero diagonal)."""
-
-    dimension: int
-    parties: int
-    adjacency: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = self.parties
-        a = self.adjacency
-        if len(a) != n or any(len(row) != n for row in a):
-            raise ValueError(f"adjacency must be {n}x{n}")
-        for i in range(n):
-            if a[i][i] != 0:
-                raise ValueError("adjacency diagonal must be zero")
-            for j in range(n):
-                if not 0 <= a[i][j] < self.dimension:
-                    raise ValueError(f"adjacency entry {a[i][j]} out of range")
-                if a[i][j] != a[j][i]:
-                    raise ValueError("adjacency must be symmetric")
-
-    def upper_triangle(self) -> tuple[int, ...]:
-        n = self.parties
-        return tuple(self.adjacency[i][j] for i in range(n) for j in range(i + 1, n))
-
-
 def num_edge_slots(parties: int) -> int:
     return parties * (parties - 1) // 2
 
 
-def graph_from_upper(dimension: int, parties: int, entries: Sequence[int]) -> GraphState:
-    """Build a graph state from its upper-triangle entries, row-major."""
-    n = parties
-    if len(entries) != num_edge_slots(n):
-        raise ValueError(f"expected {num_edge_slots(n)} entries, got {len(entries)}")
-    a = [[0] * n for _ in range(n)]
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i][j] = a[j][i] = int(entries[pos])
-            pos += 1
-    return GraphState(dimension, n, tuple(tuple(row) for row in a))
+@dataclass(frozen=True)
+class GraphState:
+    """A Z_d-weighted graph on ``parties`` vertices, stored as its upper triangle.
+
+    ``upper`` holds A[i][j] for i < j, row-major: the form the candidate
+    numbering, witness lines and ``construct graph --adjacency`` use. The
+    adjacency matrix is symmetric with zero diagonal by construction.
+    """
+
+    dimension: int
+    parties: int
+    upper: tuple[int, ...]
+
+    def __post_init__(self):
+        slots = num_edge_slots(self.parties)
+        if len(self.upper) != slots:
+            raise ValueError(f"expected {slots} entries, got {len(self.upper)}")
+        for a in self.upper:
+            if not 0 <= a < self.dimension:
+                raise ValueError(f"adjacency entry {a} out of range")
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        n = self.parties
+        a = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(combinations(range(n), 2), self.upper):
+            a[i][j] = a[j][i] = v
+        return tuple(tuple(row) for row in a)
 
 
 def graph_from_index(dimension: int, parties: int, index: int) -> GraphState:
@@ -119,7 +108,7 @@ def graph_from_index(dimension: int, parties: int, index: int) -> GraphState:
     entries = []
     for k in range(slots):
         entries.append((index // dimension ** (slots - 1 - k)) % dimension)
-    return graph_from_upper(dimension, parties, entries)
+    return GraphState(dimension, parties, tuple(entries))
 
 
 def graph_to_group(graph: GraphState) -> StabilizerGroup:
@@ -131,11 +120,12 @@ def graph_to_group(graph: GraphState) -> StabilizerGroup:
     """
     d = graph.dimension
     n = graph.parties
+    adjacency = graph.adjacency
     gens = []
     for v in range(n):
         x = [0] * n
         x[v] = 1
-        gens.append(make_pauli(d, n, 0, x, graph.adjacency[v]))
+        gens.append(make_pauli(d, n, 0, x, adjacency[v]))
     return StabilizerGroup(d, n, tuple(gens))
 
 
@@ -274,18 +264,19 @@ def search_ame(
     while first < end:
         stop = min(end, first + chunk, (first // block + 1) * block)
         digits = _candidate_digits(dimension, slots, low, first, stop, dtype)
-        hits = [first + int(h) for h in np.flatnonzero(_ame_mask(digits, dimension, plan))]
-        if mode == "first" and hits:
-            witness = graph_from_index(dimension, parties, hits[0])
-            return SearchResult((witness,), hits[0] - start + 1, False)
-        found.extend(graph_from_index(dimension, parties, h) for h in hits)
+        mask = _ame_mask(digits, dimension, plan)
+        if mode == "first" and mask.any():
+            hit = int(np.argmax(mask))
+            witness = GraphState(dimension, parties, tuple(digits[hit].tolist()))
+            return SearchResult((witness,), first + hit - start + 1, False)
+        found.extend(GraphState(dimension, parties, tuple(row)) for row in digits[mask].tolist())
         first = stop
     return SearchResult(tuple(found), end - start, (start, end) == (0, total))
 
 
 def format_witness_line(graph: GraphState) -> str:
     """``n d : a_12 a_13 ... a_(n-1)n`` (upper triangle, row-major)."""
-    upper = " ".join(map(str, graph.upper_triangle()))
+    upper = " ".join(map(str, graph.upper))
     return f"{graph.parties} {graph.dimension} : {upper}"
 
 
@@ -296,7 +287,7 @@ def parse_witness_line(line: str) -> GraphState:
         entries = [int(tok) for tok in tail.split()]
     except ValueError as exc:
         raise ValueError(f"bad witness line {line!r}") from exc
-    return graph_from_upper(dimension, parties, entries)
+    return GraphState(dimension, parties, tuple(entries))
 
 
 def format_certificate(parties: int, dimension: int, searched: int, witnesses: int) -> str:

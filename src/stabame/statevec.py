@@ -8,7 +8,7 @@ states in exactly that digit ordering.
 Equality of states is always up to global phase, via |<a|b>| > 1 - tol.
 
 Everything runs as whole-array steps. :func:`state_from_group` projects one
-seed on the state's support by gathers (``cur = phases[source] * cur[source]``)
+seed on the state's support by gathers (``cur = phases * cur[source]``)
 through the generators that move it. :func:`reduced_density` (kept parties
 transposed first), :func:`tensor` and :func:`permute_levels` work on the
 amplitudes reshaped to one axis per party.
@@ -151,14 +151,11 @@ def state_from_group(
         a = d // math.gcd(d, *gen.x_exp)
         if a == 1:
             continue
-        target, phases = vector_action(gen)
-        source = np.empty(size, dtype=np.int64)
-        source[target] = np.arange(size)
-        phases_src = phases[source]
+        source, phases = vector_action(gen)
         acc = vec.copy()
         cur = vec
         for _ in range(a - 1):
-            cur = phases_src * cur[source]
+            cur = phases * cur[source]
             acc += cur
         vec = acc / a
     return DenseState(d, g.parties, vec / np.linalg.norm(vec))
@@ -193,6 +190,8 @@ def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> DenseAmeReport
     subset is the first one within ALGEBRA_TOL of it, so float roundoff cannot
     pick among subsets that tie exactly.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     n = state.parties
     reports = [
         (sub, is_maximally_mixed(reduced_density(state, sub), tol))
@@ -240,7 +239,7 @@ def permute_levels(state: DenseState, perm: Sequence[int]) -> DenseState:
 
 
 def apply_local_unitary(state: DenseState, unitaries: Sequence[np.ndarray]) -> DenseState:
-    """Apply one unitary per party (a product of local unitaries)."""
+    """Apply one unitary per party; each must have |u^dagger u - I| <= NORM_TOL."""
     d = state.dimension
     n = state.parties
     if len(unitaries) != n:
@@ -250,7 +249,8 @@ def apply_local_unitary(state: DenseState, unitaries: Sequence[np.ndarray]) -> D
         u = np.asarray(u, dtype=complex)
         if u.shape != (d, d):
             raise ValueError(f"unitary {k} has shape {u.shape}, expected ({d}, {d})")
+        if not np.abs(u.conj().T @ u - np.eye(d)).max() <= NORM_TOL:
+            raise ValueError(f"matrix {k} is not unitary")
         view = vec.reshape(d**k, d, d ** (n - 1 - k))
         vec = np.einsum("ab,ibj->iaj", u, view).reshape(-1)
-    norm = np.linalg.norm(vec)
-    return DenseState(d, n, vec / norm)
+    return DenseState(d, n, vec)

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from stabame.pauli import PauliProduct, make_pauli, multiply, vector_action
-from stabame.search import GraphState, graph_to_group
+from stabame.search import GraphState, graph_to_group, num_edge_slots
 from stabame.stabgroup import StabilizerGroup, generator_product
 
 
@@ -43,11 +43,9 @@ def ref_pauli_matrix(p: PauliProduct) -> np.ndarray:
 
 
 def apply_pauli(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
-    """p @ vec through the package's index map and phases (:func:`vector_action`)."""
-    target, phases = vector_action(p)
-    out = np.empty(len(vec), dtype=complex)
-    out[target] = phases * vec
-    return out
+    """p @ vec through the package's source map and phases (:func:`vector_action`)."""
+    source, phases = vector_action(p)
+    return phases * vec[source]
 
 
 def order_by_multiplication(p: PauliProduct) -> int:
@@ -67,20 +65,15 @@ def seed_projections(g: StabilizerGroup):
     above 1e-6. For a valid group each one is the stabilized state.
     """
     size = g.dimension**g.parties
-    actions = []
-    for gen in g.generators:
-        target, phases = vector_action(gen)
-        source = np.empty(size, dtype=np.int64)
-        source[target] = np.arange(size)
-        actions.append((source, phases[source], order_by_multiplication(gen)))
+    actions = [(*vector_action(gen), order_by_multiplication(gen)) for gen in g.generators]
     for seed in range(size):
         vec = np.zeros(size, dtype=complex)
         vec[seed] = 1.0
-        for source, phases_src, m in actions:
+        for source, phases, m in actions:
             acc = vec.copy()
             cur = vec
             for _ in range(m - 1):
-                cur = phases_src * cur[source]
+                cur = phases * cur[source]
                 acc += cur
             vec = acc / m
         norm = np.linalg.norm(vec)
@@ -95,11 +88,7 @@ def random_pauli(rng: np.random.Generator, d: int, n: int) -> PauliProduct:
 
 
 def random_graph(rng: np.random.Generator, d: int, n: int) -> GraphState:
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i][j] = a[j][i] = int(rng.integers(0, d))
-    return GraphState(d, n, tuple(tuple(row) for row in a))
+    return GraphState(d, n, tuple(int(rng.integers(0, d)) for _ in range(num_edge_slots(n))))
 
 
 def random_graph_group(rng: np.random.Generator, d: int, n: int) -> StabilizerGroup:

@@ -147,7 +147,7 @@ def test_symbolic_enumeration_and_counting_paths_agree():
 def _ame_graph(rng, d, n):
     """CRT combination of random AME graphs at the prime-power factors of d,
     each drawn by rejection sampling with the block-minor search as judge."""
-    total = np.zeros((n, n), dtype=np.int64)
+    total = np.zeros(num_edge_slots(n), dtype=np.int64)
     for _, _, q in factorize(d).factors:
         size = q ** num_edge_slots(n)
         found = ()
@@ -155,8 +155,8 @@ def _ame_graph(rng, d, n):
             index = int(rng.integers(0, size))
             found = search_ame(n, q, shard=(index, index + 1)).found
         t = d // q
-        total += t * pow(t, -1, q) * np.array(found[0].adjacency, dtype=np.int64)
-    return GraphState(d, n, tuple(tuple(int(v) for v in row) for row in total % d))
+        total += t * pow(t, -1, q) * np.array(found[0].upper, dtype=np.int64)
+    return GraphState(d, n, tuple(int(v) for v in total % d))
 
 
 # (n, D, kind) with D^n <= 5 000: prime, prime-power and composite D. "ame"
@@ -204,6 +204,15 @@ def test_verify_ame_both_method():
         verify_ame(bell_group(2), method="bogus")
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_verify_ame_rejects_a_malformed_tolerance(tol):
+    # NaN and negative tolerances used to call every state non-AME, inf every state AME
+    for method in ("symbolic", "dense", "both"):
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            verify_ame(bell_group(3), method=method, tol=tol)
+    assert verify_ame(bell_group(3), method="dense", tol=0.0).method == "dense"
+
+
 # ---------------------------------------------------------------------------
 # decompose / reduce / merge
 # ---------------------------------------------------------------------------
@@ -245,8 +254,10 @@ def test_decompose_rejects_invalid():
 
 
 def test_decompose_without_dense():
-    dec = decompose(ghz_group(6, 3), dense=False)
+    # GHZ(3, 6) has 6**3 = 216 amplitudes: synthesized exactly when they fit the budget
+    dec = decompose(ghz_group(6, 3), dense_budget=215)
     assert dec.factor_states is None
+    assert decompose(ghz_group(6, 3), dense_budget=216).factor_states is not None
 
 
 def test_reduce_ame_bell6():

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import stabame
 from stabame.cli import main
@@ -59,7 +60,7 @@ def test_construct_graph_from_search_witness(tmp_path):
     from stabame.search import format_witness_line, search_ame
 
     witness = search_ame(4, 3, mode="first").found[0]
-    upper = " ".join(map(str, witness.upper_triangle()))
+    upper = " ".join(map(str, witness.upper))
     gens = tmp_path / "graph.gens"
     assert run(
         ["construct", "graph", "--dim", "3", "--parties", "4", "--adjacency", upper,
@@ -80,6 +81,46 @@ def test_verify_exit_codes(tmp_path):
 
     missing = tmp_path / "nope.gens"
     assert run(["verify", str(missing)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "GENS", "--tol", "abc"],
+        ["verify", "GENS", "--method", "bogus"],
+        ["verify"],
+        ["nogo", "--format", "bogus"],
+        ["search", "--parties", "4"],
+        ["bogus"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1_not_the_verify_verdict_2(tmp_path, capsys, argv):
+    gens = tmp_path / "bell.gens"
+    gens.write_text("3 2 2\n0 | 1 1 | 0 0\n0 | 0 0 | 1 2\n")
+    assert run([str(gens) if a == "GENS" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert run(["verify", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("method", ["symbolic", "dense", "both"])
+def test_verify_rejects_a_malformed_tolerance(tmp_path, capsys, tol, method):
+    # once: --method dense --tol nan or -1 reported "ame=no" on the Bell state
+    # over Z_3 (exit 1), and --tol inf called any state AME
+    gens = tmp_path / "bell.gens"
+    gens.write_text("3 2 2\n0 | 1 1 | 0 0\n0 | 0 0 | 1 2\n")
+    report = tmp_path / "report.txt"
+    argv = ["verify", str(gens), "--method", method, f"--tol={tol}", "--out", str(report)]
+    assert run(argv) == 1
+    assert "error: tolerance must be finite and non-negative" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_verify_rejects_groups_without_parties_or_dimension(tmp_path, capsys):

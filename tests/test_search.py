@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -12,7 +13,6 @@ from stabame.search import (
     format_search_report,
     format_witness_line,
     graph_from_index,
-    graph_from_upper,
     graph_to_group,
     num_edge_slots,
     parse_witness_line,
@@ -23,29 +23,32 @@ from stabame.statevec import state_from_group, verify_ame_dense
 
 
 def test_graph_state_validation():
-    with pytest.raises(ValueError):
-        GraphState(2, 2, ((0, 1), (0, 0)))  # asymmetric
-    with pytest.raises(ValueError):
-        GraphState(2, 2, ((1, 0), (0, 0)))  # diagonal
-    with pytest.raises(ValueError):
-        GraphState(2, 2, ((0, 2), (2, 0)))  # entry out of range
+    # a graph is its upper triangle, so asymmetric or looped graphs cannot be written
+    for n, upper in ((2, ()), (2, (0, 1)), (3, (1, 1)), (1, (0,))):
+        with pytest.raises(ValueError, match=f"expected {n * (n - 1) // 2} entries"):
+            GraphState(2, n, upper)
+    for upper in ((-1, 0, 0), (0, 2, 0), (0, 0, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            GraphState(2, 3, upper)
+    graph = GraphState(3, 3, (1, 2, 0))
+    assert graph.adjacency == ((0, 1, 2), (1, 0, 0), (2, 0, 0))
 
 
 def test_graph_to_group_empty_graph_stabilizes_plus_states():
-    g = graph_to_group(graph_from_upper(2, 2, [0]))
+    g = graph_to_group(GraphState(2, 2, (0,)))
     assert validate(g).stabilizes_unique_state
     st = state_from_group(g)
     assert np.abs(st.amplitudes - 0.5).max() < 1e-9  # |+>|+>
 
 
 def test_graph_single_edge_is_ame_2_2():
-    g = graph_to_group(graph_from_upper(2, 2, [1]))
+    g = graph_to_group(GraphState(2, 2, (1,)))
     assert verify_ame_symbolic(g).is_ame
     assert verify_ame_dense(state_from_group(g)).is_ame
 
 
 def test_graph_complete_qutrit_triangle_is_ame_3_3():
-    g = graph_to_group(graph_from_upper(3, 3, [1, 1, 1]))
+    g = graph_to_group(GraphState(3, 3, (1, 1, 1)))
     assert verify_ame_symbolic(g).is_ame
 
 
@@ -55,17 +58,17 @@ def test_graph_groups_always_valid_random():
         for n in (2, 3, 4):
             for _ in range(3):
                 entries = [int(v) for v in rng.integers(0, d, num_edge_slots(n))]
-                g = graph_to_group(graph_from_upper(d, n, entries))
+                g = graph_to_group(GraphState(d, n, tuple(entries)))
                 report = validate(g)
                 assert report.stabilizes_unique_state
                 assert report.order == d**n
 
 
 def test_candidate_indexing_is_lexicographic():
-    assert graph_from_index(2, 3, 0).upper_triangle() == (0, 0, 0)
-    assert graph_from_index(2, 3, 1).upper_triangle() == (0, 0, 1)
-    assert graph_from_index(2, 3, 4).upper_triangle() == (1, 0, 0)
-    assert graph_from_index(3, 3, 26).upper_triangle() == (2, 2, 2)
+    assert graph_from_index(2, 3, 0).upper == (0, 0, 0)
+    assert graph_from_index(2, 3, 1).upper == (0, 0, 1)
+    assert graph_from_index(2, 3, 4).upper == (1, 0, 0)
+    assert graph_from_index(3, 3, 26).upper == (2, 2, 2)
     with pytest.raises(ValueError):
         graph_from_index(2, 3, 8)
 
@@ -141,12 +144,16 @@ def test_search_rejects_unknown_mode():
 
 
 def test_witness_line_roundtrip():
-    graph = graph_from_upper(3, 4, [0, 1, 1, 1, 2, 0])
+    graph = GraphState(3, 4, (0, 1, 1, 1, 2, 0))
     line = format_witness_line(graph)
     assert line == "4 3 : 0 1 1 1 2 0"
     assert parse_witness_line(line) == graph
     with pytest.raises(ValueError):
         parse_witness_line("nonsense")
+    with pytest.raises(ValueError, match="expected 6 entries, got 2"):
+        parse_witness_line("4 3 : 0 1")
+    with pytest.raises(ValueError, match="adjacency entry 3 out of range"):
+        parse_witness_line("4 3 : 0 1 1 1 2 3")
 
 
 def test_certificate_and_report_format():
@@ -216,7 +223,7 @@ def test_block_minor_search_agrees_with_symbolic_verifier_on_random_shards(parti
 def test_witness_whose_minors_are_not_units():
     # AME over Z_6, yet for S = {2, 4} the 2x2 minors of A[S, S^c] are
     # 3, 2, 0 mod 6: only their gcd with 6 is a unit, no single minor is.
-    graph = graph_from_upper(6, 5, [2, 3, 1, 2, 0, 5, 3, 2, 5, 4])
+    graph = GraphState(6, 5, (2, 3, 1, 2, 0, 5, 3, 2, 5, 4))
     a = graph.adjacency
     top, bottom = a[2][:2] + a[2][3:4], a[4][:2] + a[4][3:4]  # columns 0, 1, 3
     minors = {
@@ -248,7 +255,7 @@ def test_minors_of_large_residues_are_exact(dimension):
     # (d-1)^2 - 1 = 0 mod d, and (d-1)^2 fits in int64 only for the first d.
     upper = [1, dimension - 1, 1, 1, dimension - 1, 2]
     index = sum(e * dimension ** (5 - p) for p, e in enumerate(upper))
-    assert graph_from_index(dimension, 4, index).upper_triangle() == tuple(upper)
+    assert graph_from_index(dimension, 4, index).upper == tuple(upper)
     assert search_ame(4, dimension, shard=(index, index + 1)).found == ()
     start, end = index - 2, index + 3
     found = search_ame(4, dimension, shard=(start, end)).found
@@ -264,3 +271,33 @@ def test_search_results_do_not_depend_on_the_chunk_size(monkeypatch):
     # the reported witness is the last candidate scanned and the only one
     assert first.found == (graph_from_index(3, 4, 49 + first.searched),)
     assert search_ame(4, 3, shard=(50, 50 + first.searched)).found == first.found
+
+
+# SHA-256 of format_search_report(n, d, search_ame(n, d)), taken when every
+# witness was still built by decoding its index again (graph_from_index) and
+# expanded into a full adjacency matrix.
+REPORT_DIGESTS = {
+    (4, 3): "410c957962c41fcbdf28ab264774cc114154c7bebc657e4700dfdeb82c577c87",
+    (5, 3): "2ffbb7723e538bf8ed7818c67b94f992b2828a5b68423e28f48d8e7afa5bd9bf",
+    (6, 2): "3f3d757aa0c1cddcbd5c25c59128d1762b80ed12f088c08b4e1b405d06249251",
+    (4, 6): "283b001ec82362411c3d912aabb2ca923e233bfe4493f7191434c50758d6cc7b",
+}
+
+
+@pytest.mark.parametrize("parties, dimension", sorted(REPORT_DIGESTS))
+def test_search_reports_are_byte_identical_to_the_index_decoder(parties, dimension):
+    report = format_search_report(parties, dimension, search_ame(parties, dimension))
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[parties, dimension]
+
+
+def test_search_builds_witnesses_from_the_decoded_rows(monkeypatch):
+    full = search_ame(4, 3)
+    first = search_ame(4, 3, mode="first", shard=(50, 729))
+
+    def refuse(*args):
+        raise AssertionError("search_ame decoded a candidate index a second time")
+
+    monkeypatch.setattr(search, "graph_from_index", refuse)
+    assert search_ame(4, 3) == full and len(full.found) > 0
+    assert search_ame(4, 3, mode="first", shard=(50, 729)) == first

@@ -293,8 +293,7 @@ def test_reduced_density_contract_accepts():
 def test_verify_ame_dense_worst_subset_ignores_roundoff():
     # every 2-party reduction of the complete-graph state K4 over Z_6 deviates
     # from I/36 by exactly 1/36, each one computed from different amplitudes
-    k4 = tuple(tuple(int(i != j) for j in range(4)) for i in range(4))
-    st = state_from_group(graph_to_group(GraphState(6, 4, k4)))
+    st = state_from_group(graph_to_group(GraphState(6, 4, (1,) * 6)))
     report = verify_ame_dense(st)
     assert report.worst_subset == (0, 1)
     assert abs(report.worst_deviation - 1 / 36) < 1e-12
@@ -421,6 +420,21 @@ def test_local_unitary_invariance_of_ame_verdict():
     prod = basis_state(2, 2, 0)
     rotated = apply_local_unitary(prod, [haar_unitary(2, rng) for _ in range(2)])
     assert not verify_ame_dense(rotated).is_ame
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0, float("nan")])
+def test_apply_local_unitary_rejects_non_unitaries(scale):
+    # 2*I used to be renormalized away and the zero matrix divided by a zero norm
+    st = state_from_group(bell_group(3))
+    units = [np.eye(3), scale * np.eye(3)]
+    with pytest.raises(ValueError, match="matrix 1 is not unitary"):
+        apply_local_unitary(st, units)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_verify_ame_dense_rejects_a_malformed_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        verify_ame_dense(state_from_group(bell_group(3)), tol=tol)
 
 
 def test_permute_levels_roundtrip():
