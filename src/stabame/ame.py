@@ -40,6 +40,7 @@ from .stabgroup import (
 from .statevec import (
     DEFAULT_DENSE_BUDGET,
     DenseState,
+    check_tolerance,
     permute_levels,
     state_from_group,
     tensor,
@@ -124,7 +125,14 @@ def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
     n = g.parties
     full = d**n
     matrix = exponent_matrix(g)
-    for sub in combinations(range(n), n // 2):
+    subsets = combinations(range(n), n // 2)
+    if n % 2 == 0:
+        # For a pure state, S and its complement support equally many elements
+        # when |S| = n/2, so S^c repeats the test of S. The half of the subsets
+        # holding party 0 comes first in combinations order, so the first
+        # failing subset is among them.
+        subsets = (sub for sub in subsets if 0 in sub)
+    for sub in subsets:
         outside_cols = [c for c in range(2 * n) if (c % n) not in sub]
         restricted = [[row[c] for c in outside_cols] for row in matrix]
         if ring.span_order_mod(restricted, d) < full:
@@ -145,8 +153,8 @@ def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
     """Exact AME check on the stabilizer group, no dense state needed.
 
     Validates the group (once per group object), then asks of each
-    floor(n/2)-subset whether the exponents outside it still span D**n
-    vectors (:func:`_symbolic_by_counting`).
+    floor(n/2)-subset (for even n, of the half holding party 0) whether the
+    exponents outside it still span D**n vectors (:func:`_symbolic_by_counting`).
     A non-AME verdict names the first failing subset in ``combinations``
     order and, as witness, the first non-identity product over the relations
     mod D of that subset's outside columns.
@@ -169,8 +177,7 @@ def verify_ame(
     """
     if method not in ("symbolic", "dense", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+    check_tolerance(tol)
     sym = verify_ame_symbolic(g) if method != "dense" else None
     if method == "symbolic":
         return sym

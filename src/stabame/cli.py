@@ -67,6 +67,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    statevec.check_tolerance(args.tol)
     group = _read_group(args.gens)
     report = validate(group)
     lines = [

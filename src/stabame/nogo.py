@@ -119,8 +119,13 @@ def propagate(
     itself; unknown otherwise.
 
     A cell that is both excluded and witnessed would falsify either the facts
-    or the factor-propagation rule, so that aborts with a diagnostic.
+    or the factor-propagation rule, so that aborts with a diagnostic. The grid
+    starts at n = 2 and D = 2, so a bound below 2 is refused.
     """
+    if max_parties < 2 or max_dim < 2:
+        raise ValueError(
+            f"grid bounds must be >= 2, got max_parties={max_parties}, max_dim={max_dim}"
+        )
     negative: dict[tuple[int, int], KnownFact] = {}
     positive: dict[tuple[int, int], KnownFact] = {}
     for fact in facts:

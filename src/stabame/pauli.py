@@ -160,34 +160,6 @@ def dense_matrix(p: PauliProduct, max_dim: int = DEFAULT_MATRIX_DIM_BUDGET) -> n
     return np.exp(1j * np.pi * p.phase_exp / d) * mat
 
 
-def basis_dot(dimension: int, weights: Sequence[int]) -> np.ndarray:
-    """w . j mod D for every basis index j (party-major), built party by party."""
-    digits = np.arange(dimension)
-    out = np.zeros(1, dtype=np.int64)
-    for w in weights:
-        out = np.add.outer(out, w * digits % dimension).ravel() % dimension
-    return out
-
-
-def vector_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
-    """Source map and phases of p on the D**n computational basis states.
-
-    On basis states: p |j_1..j_n> = lam**phase * omega**(z . j) |j - x mod D>,
-    so p @ vec is the gather ``phases * vec[source]`` with source i + x mod D
-    and the phase read there, omega**(z . i + z . x). The source map is built
-    party by party from length-D pieces, z . i by :func:`basis_dot`, and the
-    phases come from a table of the D values lam**phase * omega**m.
-    """
-    d = p.dimension
-    digits = np.arange(d)
-    source = np.zeros(1, dtype=np.int64)
-    for x in p.x_exp:
-        source = np.add.outer(source * d, (digits + x) % d).ravel()
-    zx = sum(z * x for z, x in zip(p.z_exp, p.x_exp))
-    roots = np.exp(1j * np.pi * p.phase_exp / d) * np.exp(2j * np.pi * digits / d)
-    return source, roots[(basis_dot(d, p.z_exp) + zx) % d]
-
-
 def format_pauli(p: PauliProduct) -> str:
     """Serialize as ``gamma | x_1 ... x_n | z_1 ... z_n`` (decimal, pipe-separated)."""
     return "{} | {} | {}".format(

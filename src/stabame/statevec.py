@@ -7,11 +7,12 @@ states in exactly that digit ordering.
 
 Equality of states is always up to global phase, via |<a|b>| > 1 - tol.
 
-Everything runs as whole-array steps. :func:`state_from_group` projects one
-seed on the state's support by gathers (``cur = phases * cur[source]``)
-through the generators that move it. :func:`reduced_density` (kept parties
-transposed first), :func:`tensor` and :func:`permute_levels` work on the
-amplitudes reshaped to one axis per party.
+Everything runs as whole-array steps. :func:`state_from_group` writes the
+amplitudes on the state's support in closed form: the support grows from one
+seed, coset by coset, one generator at a time, and each new amplitude is an
+exact power of lam, so no D**n vector is ever projected.
+:func:`reduced_density` (kept parties transposed first), :func:`tensor` and
+:func:`permute_levels` work on the amplitudes reshaped to one axis per party.
 :class:`ReducedDensity` tests positive semidefiniteness by a Cholesky
 factorization of ``matrix + NORM_TOL * I``, i.e. lambda_min > -NORM_TOL.
 """
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import ring
 from .errors import BudgetExceededError
-from .pauli import basis_dot, vector_action
 from .stabgroup import StabilizerGroup, generator_product, validate
 
 DEFAULT_DENSE_BUDGET = 100_000
@@ -111,23 +111,29 @@ def basis_state(dimension: int, parties: int, index: int) -> DenseState:
 def state_from_group(
     g: StabilizerGroup, dense_budget: int = DEFAULT_DENSE_BUDGET
 ) -> DenseState:
-    """Synthesize the unique state fixed by a valid stabilizer group.
+    """Synthesize the unique state fixed by a valid stabilizer group, on its support.
 
-    The support of the state is a coset j0 + X_G of the span X_G of the
-    generators' X exponents (Hostens, Dehaene and De Moor, PRA 71, 042315,
-    2005). The relations among the X rows (one ``ring.kernel_mod`` call)
-    multiply out to the group's diagonal elements lam**c Z**z, and such an
-    element fixes |j> exactly when c + 2 z.j = 0 (mod 2D). Their z parts are
-    the annihilator of X_G, so the basis states fixed by all of them are
-    exactly the support; the first one is the seed.
+    The support of the state is a coset of the span X_G of the generators'
+    X exponents (Hostens, Dehaene and De Moor, PRA 71, 042315, 2005). The
+    relations among the X rows (one ``ring.kernel_mod`` call) multiply out to
+    the group's diagonal elements lam**c Z**z, and such an element fixes |j>
+    exactly when c + 2 z.j = 0 (mod 2D). Their z parts are the annihilator of
+    X_G, so the basis states fixed by all of them (one pass over the D**n
+    indices for all of them together) are exactly the support; the first
+    one is the seed.
 
-    A generator with X part x maps the support onto itself, and gen**a for
-    a = D / gcd(D, x) is diagonal and in the group, so it fixes every vector
-    on the support. Averaging over the first a powers is therefore the
-    generator's projector there; generators without an X part fix the
-    support states and are skipped. The product of the projectors is the
-    rank-one projector onto the state, which the seed overlaps, so exactly
-    one seed is projected.
+    The support grows from the seed, generator by generator. For gen =
+    lam**gamma X**x Z**z, a = |span(x_1..x_i)| / |span(x_1..x_(i-1))| (exact,
+    by ``ring.span_order_mod`` on the prefix rows) is the order of x modulo
+    the earlier span, so the cosets j - t x (t < a) of the support so far are
+    disjoint and together cover the next one. Since gen**t fixes the state,
+    the amplitude at j - t x is the one at j times
+    lam**(t gamma - t(t-1)(z.x) + 2t(z.j)), the closed form of
+    ``pauli.power``. Every amplitude of the fixed state is tied to the seed's
+    this way, so the result is the state itself, exactly: the phases stay
+    integer exponents of lam (the seed's is 0), every amplitude has modulus
+    |X_G|**-1/2 and is written once. That is O(n |X_G|) array steps, with no
+    D**n index map and no gather.
     """
     report = validate(g)
     if not report.stabilizes_unique_state:
@@ -137,28 +143,41 @@ def state_from_group(
             f"phase_consistent={report.phase_consistent})"
         )
     d = g.dimension
-    size = d**g.parties
+    n = g.parties
+    size = d**n
     if size > dense_budget:
         raise BudgetExceededError(f"dense size {size} exceeds budget {dense_budget}")
-    _, relations = ring.kernel_mod([list(gen.x_exp) for gen in g.generators], d)
-    on_support = np.ones(size, dtype=bool)
-    for c in relations:
-        diagonal = generator_product(g, c)
-        on_support &= (diagonal.phase_exp + 2 * basis_dot(d, diagonal.z_exp)) % (2 * d) == 0
-    vec = np.zeros(size, dtype=complex)
-    vec[np.argmax(on_support)] = 1.0
-    for gen in g.generators:
-        a = d // math.gcd(d, *gen.x_exp)
+    x_rows = [list(gen.x_exp) for gen in g.generators]
+    _, relations = ring.kernel_mod(x_rows, d)
+    seed = 0
+    if relations:
+        diagonals = [generator_product(g, c) for c in relations]
+        # c + 2 z.j for every diagonal and every basis index j, party by party
+        test = np.array([[p.phase_exp] for p in diagonals])
+        for k in range(n):
+            terms = np.outer([2 * p.z_exp[k] for p in diagonals], np.arange(d))
+            test = (test[:, :, None] + terms[:, None, :]).reshape(len(diagonals), -1)
+        seed = int(np.argmax(~(test % (2 * d)).any(axis=0)))
+    # one row of digits per party, one column per support point
+    support = np.array(np.unravel_index(seed, (d,) * n))[:, None]
+    exps = np.zeros(1, dtype=np.int64)
+    span = 1
+    for i, gen in enumerate(g.generators):
+        grown = ring.span_order_mod(x_rows[: i + 1], d)
+        a, span = grown // span, grown
         if a == 1:
             continue
-        source, phases = vector_action(gen)
-        acc = vec.copy()
-        cur = vec
-        for _ in range(a - 1):
-            cur = phases * cur[source]
-            acc += cur
-        vec = acc / a
-    return DenseState(d, g.parties, vec / np.linalg.norm(vec))
+        x = np.array(gen.x_exp)
+        z = np.array(gen.z_exp)
+        t = np.arange(a)
+        steps = t * (gen.phase_exp - (t - 1) * int(z @ x))
+        exps = (exps + steps[:, None] + 2 * t[:, None] * (z @ support)).reshape(-1)
+        support = (support[:, None, :] + (np.outer(x, -t) % d)[:, :, None]).reshape(n, -1)
+        support[support >= d] -= d
+    roots = np.exp(1j * np.pi * np.arange(2 * d) / d) / math.sqrt(len(exps))
+    vec = np.zeros(size, dtype=complex)
+    vec[d ** np.arange(n - 1, -1, -1) @ support] = roots[exps % (2 * d)]
+    return DenseState(d, n, vec)
 
 
 def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
@@ -176,6 +195,12 @@ def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
     return ReducedDensity(sub, table @ table.conj().T)
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a NaN, infinite or negative tolerance."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+
+
 def is_maximally_mixed(rho: ReducedDensity, tol: float) -> MaxMixedReport:
     r = rho.matrix.shape[0]
     dev = float(np.abs(rho.matrix - np.eye(r) / r).max())
@@ -190,8 +215,7 @@ def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> DenseAmeReport
     subset is the first one within ALGEBRA_TOL of it, so float roundoff cannot
     pick among subsets that tie exactly.
     """
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+    check_tolerance(tol)
     n = state.parties
     reports = [
         (sub, is_maximally_mixed(reduced_density(state, sub), tol))

@@ -8,10 +8,11 @@ arithmetic.
 
 import math
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
 
-from stabame.pauli import PauliProduct, make_pauli, multiply, vector_action
+from stabame.pauli import PauliProduct, make_pauli, multiply
 from stabame.search import GraphState, graph_to_group, num_edge_slots
 from stabame.stabgroup import StabilizerGroup, generator_product
 
@@ -42,8 +43,37 @@ def ref_pauli_matrix(p: PauliProduct) -> np.ndarray:
     return lam**p.phase_exp * full
 
 
+def basis_dot(dimension: int, weights: Sequence[int]) -> np.ndarray:
+    """w . j mod D for every basis index j (party-major), built party by party."""
+    digits = np.arange(dimension)
+    out = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        out = np.add.outer(out, w * digits % dimension).ravel() % dimension
+    return out
+
+
+def vector_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
+    """Source map and phases of p on the D**n computational basis states: the
+    gather that the synthesis oracle :func:`seed_projections` runs on.
+
+    On basis states: p |j_1..j_n> = lam**phase * omega**(z . j) |j - x mod D>,
+    so p @ vec is the gather ``phases * vec[source]`` with source i + x mod D
+    and the phase read there, omega**(z . i + z . x). The source map is built
+    party by party from length-D pieces, z . i by :func:`basis_dot`, and the
+    phases come from a table of the D values lam**phase * omega**m.
+    """
+    d = p.dimension
+    digits = np.arange(d)
+    source = np.zeros(1, dtype=np.int64)
+    for x in p.x_exp:
+        source = np.add.outer(source * d, (digits + x) % d).ravel()
+    zx = sum(z * x for z, x in zip(p.z_exp, p.x_exp))
+    roots = np.exp(1j * np.pi * p.phase_exp / d) * np.exp(2j * np.pi * digits / d)
+    return source, roots[(basis_dot(d, p.z_exp) + zx) % d]
+
+
 def apply_pauli(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
-    """p @ vec through the package's source map and phases (:func:`vector_action`)."""
+    """p @ vec through the source map and phases of :func:`vector_action`."""
     source, phases = vector_action(p)
     return phases * vec[source]
 

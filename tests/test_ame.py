@@ -20,11 +20,12 @@ from stabame.ame import (
     verify_ame_symbolic,
 )
 from stabame.pauli import make_pauli, single_site
-from stabame.ring import factorize
+from stabame.ring import factorize, span_order_mod
 from stabame.search import GraphState, graph_to_group, num_edge_slots, search_ame
 from stabame.stabgroup import (
     StabilizerGroup,
     bell_group,
+    exponent_matrix,
     ghz_group,
     parse_generator_file,
     validate,
@@ -183,6 +184,66 @@ def test_symbolic_verifier_matches_enumeration_on_mixed_graph_groups(parties, di
         if kind == "ame":
             assert verify_ame_symbolic(g).is_ame
         _assert_matches_enumeration(g)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_symbolic_even_n_scans_the_half_holding_party_0(monkeypatch, dimension):
+    from stabame import ring
+
+    g = graph_to_group(_ame_graph(np.random.default_rng(71), dimension, 6))
+    validate(g)
+    calls = []
+    real = ring.span_order_mod
+
+    def counted(rows, d):
+        calls.append(rows)
+        return real(rows, d)
+
+    monkeypatch.setattr(ring, "span_order_mod", counted)
+    assert verify_ame_symbolic(g).is_ame
+    assert len(calls) == 10  # C(6, 3) / 2
+
+
+def _first_failing_subset_of_a_full_scan(g):
+    n, d = g.parties, g.dimension
+    matrix = exponent_matrix(g)
+    failing = {}
+    for sub in combinations(range(n), n // 2):
+        outside = [c for c in range(2 * n) if c % n not in sub]
+        failing[sub] = span_order_mod([[row[c] for c in outside] for row in matrix], d) < d**n
+    if n % 2 == 0:  # a subset and its complement fail together
+        for sub, fails in failing.items():
+            assert fails == failing[tuple(v for v in range(n) if v not in sub)]
+    return next((sub for sub, fails in failing.items() if fails), None)
+
+
+def _bell_pairs(rng, d, n):
+    """Bell pairs over Z_d on a random pairing of the n parties: a subset
+    fails exactly when it holds both parties of some pair."""
+    perm = rng.permutation(n)
+    gens = []
+    for a, b in zip(perm[::2], perm[1::2]):
+        x, z = [0] * n, [0] * n
+        x[a] = x[b] = 1
+        z[a], z[b] = 1, d - 1
+        gens += [make_pauli(d, n, 0, x, None), make_pauli(d, n, 0, None, z)]
+    return StabilizerGroup(d, n, tuple(gens))
+
+
+@pytest.mark.parametrize("parties, dimension", [(4, 6), (6, 2), (6, 4), (6, 6), (8, 2), (8, 3)])
+def test_symbolic_even_n_verdicts_match_a_full_scan(parties, dimension):
+    rng = np.random.default_rng(2000 * parties + dimension)
+    groups = []
+    for _ in range(4):
+        groups.append(unimodular_mix(rng, random_graph_group(rng, dimension, parties)))
+        groups.append(unimodular_mix(rng, _bell_pairs(rng, dimension, parties)))
+    if parties == 6 and dimension == 2:
+        groups.append(unimodular_mix(rng, graph_to_group(_ame_graph(rng, dimension, parties))))
+    for g in groups:
+        verdict = verify_ame_symbolic(g)
+        subset = _first_failing_subset_of_a_full_scan(g)
+        assert verdict.worst_subset == subset
+        assert verdict.is_ame == (subset is None)
 
 
 def test_symbolic_agrees_with_dense_random():

@@ -123,6 +123,27 @@ def test_verify_rejects_a_malformed_tolerance(tmp_path, capsys, tol, method):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_checks_the_tolerance_before_validation(tmp_path, capsys, tol):
+    # once: a group that is not a stabilizer state got its validate report and
+    # exit 2 whatever --tol said
+    gens = tmp_path / "bad.gens"
+    gens.write_text("2 2 2\n0 | 1 1 | 0 0\n0 | 0 1 | 1 0\n")
+    report = tmp_path / "report.txt"
+    assert run(["verify", str(gens), f"--tol={tol}", "--out", str(report)]) == 1
+    assert "error: tolerance must be finite and non-negative" in capsys.readouterr().err
+    assert not report.exists()
+    assert run(["verify", str(gens), "--out", str(report)]) == 2
+
+
+@pytest.mark.parametrize("bound", ["--max-parties", "--max-dim"])
+def test_nogo_rejects_grid_bounds_below_2(tmp_path, capsys, bound):
+    table = tmp_path / "table.csv"
+    assert run(["nogo", bound, "1", "--out", str(table)]) == 1
+    assert "error: grid bounds must be >= 2" in capsys.readouterr().err
+    assert not table.exists()
+
+
 def test_verify_rejects_groups_without_parties_or_dimension(tmp_path, capsys):
     # Once accepted: "2 0 0" verified as an AME stabilizer state (exit 0) and
     # "2 -1 0" / "0 1 0" reported invalid groups (exit 2); exit 2 is a verdict.

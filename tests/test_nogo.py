@@ -146,6 +146,24 @@ def test_csv_single_unknown_cell():
     assert text == "n\\D,2\n2,unknown\n"
 
 
+@pytest.mark.parametrize("max_parties", [2, 3, 5])
+@pytest.mark.parametrize("max_dim", [2, 3, 4, 7])
+def test_csv_roundtrips_on_small_grids(max_parties, max_dim):
+    facts = load_facts("2 2 stabAMEExists bell\n3 2 noStabAME x\n4 4 noAME y\n")
+    table = propagate(facts, max_parties=max_parties, max_dim=max_dim)
+    statuses = parse_table_csv(emit_table(table, "csv"))
+    assert statuses == {key: cell.status for key, cell in table.cells.items()}
+    assert len(statuses) == (max_parties - 1) * (max_dim - 1)
+
+
+@pytest.mark.parametrize("max_parties, max_dim", [(1, 36), (8, 1), (0, 0), (-3, 5)])
+def test_propagate_rejects_grid_bounds_below_2(max_parties, max_dim):
+    # once: --max-dim 1 wrote the header "n\D," and empty rows, which the
+    # CSV reader could not read back
+    with pytest.raises(ValueError, match="grid bounds must be >= 2"):
+        propagate(default_facts(), max_parties=max_parties, max_dim=max_dim)
+
+
 @pytest.mark.parametrize(
     "text",
     [

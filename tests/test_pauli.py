@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_pauli, ref_pauli_matrix, ref_x_matrix, ref_z_matrix
+from conftest import (
+    random_pauli,
+    ref_pauli_matrix,
+    ref_x_matrix,
+    ref_z_matrix,
+    vector_action,
+)
 from stabame.errors import BudgetExceededError
 from stabame.pauli import (
     PauliProduct,
@@ -13,7 +19,6 @@ from stabame.pauli import (
     power,
     single_site,
     symplectic_inner,
-    vector_action,
 )
 
 ALG_TOL = 1e-12

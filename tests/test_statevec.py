@@ -12,10 +12,18 @@ from conftest import (
     unimodular_mix,
 )
 from enumeration import enumerate_elements
+from stabame import statevec
 from stabame.errors import BudgetExceededError
 from stabame.pauli import make_pauli, multiply, power, single_site
 from stabame.search import GraphState, graph_to_group
-from stabame.stabgroup import StabilizerGroup, bell_group, ghz_group, validate
+from stabame.ring import span_order_mod
+from stabame.stabgroup import (
+    StabilizerGroup,
+    bell_group,
+    generator_product,
+    ghz_group,
+    validate,
+)
 from stabame.statevec import (
     DenseState,
     ReducedDensity,
@@ -141,16 +149,22 @@ def test_state_from_group_matches_oracle_on_mixed_graph_groups(d, n):
         _assert_matches_oracle(unimodular_mix(rng, random_graph_group(rng, d, n)))
 
 
-@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 3), (6, 2), (6, 3), (8, 2), (12, 2)])
-def test_state_from_group_matches_oracle_off_index_zero(d, n):
-    # local Fourier transforms shrink the support to a coset of a proper
-    # subgroup; a random Pauli then shifts it, mostly off index 0
-    rng = np.random.default_rng(200 * n + d)
-    off_zero = 0
-    for _ in range(6):
+def _off_zero_groups(rng, d, n, count):
+    """Groups whose support mostly avoids index 0: local Fourier transforms
+    shrink the support to a coset of a proper subgroup, and a random Pauli
+    then shifts it."""
+    for _ in range(count):
         parties = [k for k in range(n) if rng.integers(0, 2)]
         g = _fourier(random_graph_group(rng, d, n), parties)
-        g = unimodular_mix(rng, _conjugate(g, random_pauli(rng, d, n)))
+        yield _conjugate(g, random_pauli(rng, d, n))
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 3), (6, 2), (6, 3), (8, 2), (12, 2)])
+def test_state_from_group_matches_oracle_off_index_zero(d, n):
+    rng = np.random.default_rng(200 * n + d)
+    off_zero = 0
+    for g in _off_zero_groups(rng, d, n, 6):
+        g = unimodular_mix(rng, g)
         assert validate(g).stabilizes_unique_state
         off_zero += _assert_matches_oracle(g)[0] == 0
     assert off_zero >= 2
@@ -187,6 +201,73 @@ def test_state_from_group_far_support_is_one_seed():
     st = state_from_group(StabilizerGroup(6, 5, gens))
     assert st.amplitudes[7775] == 1.0
     assert np.count_nonzero(st.amplitudes) == 1
+
+
+def _powers_first(rng, g):
+    """``g`` with gen**k put in front of some generators: gen's X part then
+    lies partly in the earlier span when 1 < gcd(k, D) < D."""
+    gens = []
+    for gen in g.generators:
+        if rng.integers(0, 2):
+            gens.append(power(gen, int(rng.integers(2, 2 * g.dimension))))
+        gens.append(gen)
+    return StabilizerGroup(g.dimension, g.parties, tuple(gens))
+
+
+def _with_redundant(rng, g):
+    """``g`` with products of its generators inserted after them (a = 1)."""
+    gens = list(g.generators)
+    for _ in range(2):
+        at = int(rng.integers(1, len(gens) + 1))
+        earlier = StabilizerGroup(g.dimension, g.parties, tuple(gens[:at]))
+        coeffs = [int(c) for c in rng.integers(0, g.dimension, at)]
+        gens.insert(at, generator_product(earlier, coeffs))
+    return StabilizerGroup(g.dimension, g.parties, tuple(gens))
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+def test_state_from_group_x_parts_partly_in_the_earlier_span(d):
+    # (X X)**2 before X X: x = (1, 1) has order 2 modulo span((2, 2))
+    rng = np.random.default_rng(300 + d)
+    for n in (2, 3):
+        ghz = ghz_group(d, n)
+        g = StabilizerGroup(d, n, (power(ghz.generators[0], 2), *ghz.generators))
+        _assert_matches_oracle(g)
+        _assert_matches_oracle(_conjugate(g, random_pauli(rng, d, n)))
+    for g in _off_zero_groups(rng, d, 2, 4):
+        _assert_matches_oracle(_powers_first(rng, g))
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (4, 2), (6, 2), (6, 3), (9, 2), (12, 2)])
+def test_state_from_group_with_redundant_generators(d, n):
+    rng = np.random.default_rng(400 + 10 * n + d)
+    for g in _off_zero_groups(rng, d, n, 4):
+        _assert_matches_oracle(_with_redundant(rng, g))
+        _assert_matches_oracle(_with_redundant(rng, _powers_first(rng, g)))
+
+
+def test_state_from_group_is_flat_on_a_support_of_the_x_span_order():
+    rng = np.random.default_rng(227)
+    groups = [ghz_group(6, 3), _divisor_group(12, 4, 6)]
+    for d, n in ((2, 5), (4, 3), (6, 3), (30, 2)):
+        groups += _off_zero_groups(rng, d, n, 3)
+        groups.append(unimodular_mix(rng, random_graph_group(rng, d, n)))
+    for g in groups:
+        amps = state_from_group(g).amplitudes
+        support = np.flatnonzero(amps)
+        size = span_order_mod([list(gen.x_exp) for gen in g.generators], g.dimension)
+        assert len(support) == size
+        assert np.abs(np.abs(amps[support]) - size**-0.5).max() <= 1e-15
+
+
+def test_state_from_group_budget_comes_before_any_allocation(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the budget check")
+
+    monkeypatch.setattr(statevec, "np", NoNumpy())
+    with pytest.raises(BudgetExceededError):
+        state_from_group(ghz_group(30, 8))  # 30**8 amplitudes
 
 
 def test_seed_independence():
