@@ -7,6 +7,10 @@ are accepted as input; composite exclusions are always derived, never
 asserted, which keeps the dataset minimal and the propagation rule visibly
 load-bearing.
 
+The grid is filled from the facts, not cell by cell: every cell starts as one
+shared unknown cell, each non-existence fact (n, q) marks the multiples of q
+whose q-part is exactly q, and each positive fact marks its own cell.
+
 Facts file format (line oriented, '#' comments):
     n q status source...
 with status one of noAME, noStabAME, stabAMEExists. A noAME fact implies
@@ -116,11 +120,13 @@ def propagate(
 ) -> NoGoTable:
     """Fill the (n, D) grid: excluded when some prime-power factor of D carries
     a non-existence fact at (n, q); witness when a positive fact sits at (n, D)
-    itself; unknown otherwise.
+    itself; unknown otherwise. An excluded cell lists one reason per such
+    factor, in increasing-prime order.
 
     A cell that is both excluded and witnessed would falsify either the facts
-    or the factor-propagation rule, so that aborts with a diagnostic. The grid
-    starts at n = 2 and D = 2, so a bound below 2 is refused.
+    or the factor-propagation rule, so that aborts with a diagnostic naming the
+    first such cell in (n, D) order. The grid starts at n = 2 and D = 2, so a
+    bound below 2 is refused.
     """
     if max_parties < 2 or max_dim < 2:
         raise ValueError(
@@ -139,27 +145,33 @@ def propagate(
             )
         table.setdefault(key, fact)
 
-    prime_powers = {dim: ring.factorize(dim).prime_powers for dim in range(2, max_dim + 1)}
-    cells: dict[tuple[int, int], Cell] = {}
-    for n in range(2, max_parties + 1):
-        for dim in range(2, max_dim + 1):
-            reasons = []
-            for q in prime_powers[dim]:
-                fact = negative.get((n, q))
-                if fact is not None:
-                    reasons.append(f"factor q={q} [{fact.source or fact.status}]")
-            pos = positive.get((n, dim))
-            if reasons and pos is not None:
-                raise FactsError(
-                    f"cell (n={n}, D={dim}) is excluded via {'; '.join(reasons)} but has "
-                    f"witness fact [{pos.source or pos.status}]; the facts are inconsistent"
-                )
-            if reasons:
-                cells[(n, dim)] = Cell(CELL_EXCLUDED, tuple(reasons))
-            elif pos is not None:
-                cells[(n, dim)] = Cell(CELL_WITNESS, (pos.source or pos.status,))
-            else:
-                cells[(n, dim)] = Cell(CELL_UNKNOWN)
+    unknown = Cell(CELL_UNKNOWN)
+    cells = {
+        (n, dim): unknown for n in range(2, max_parties + 1) for dim in range(2, max_dim + 1)
+    }
+    # Facts in increasing-prime order, so each cell gets its reasons in the
+    # order of its factors. D // q % p != 0 says the q-part of D is q itself.
+    reasons: dict[tuple[int, int], list[str]] = {}
+    by_prime = sorted((ring.factorize(q).factors[0][0], n, q) for n, q in negative)
+    for p, n, q in by_prime:
+        if n > max_parties:
+            continue
+        fact = negative[(n, q)]
+        reason = f"factor q={q} [{fact.source or fact.status}]"
+        for dim in range(q, max_dim + 1, q):
+            if (dim // q) % p:
+                reasons.setdefault((n, dim), []).append(reason)
+    for key, found in reasons.items():
+        cells[key] = Cell(CELL_EXCLUDED, tuple(found))
+    for key in sorted(k for k in positive if k in cells):
+        pos = positive[key]
+        found = reasons.get(key)
+        if found:
+            raise FactsError(
+                f"cell (n={key[0]}, D={key[1]}) is excluded via {'; '.join(found)} but has "
+                f"witness fact [{pos.source or pos.status}]; the facts are inconsistent"
+            )
+        cells[key] = Cell(CELL_WITNESS, (pos.source or pos.status,))
     return NoGoTable(max_parties, max_dim, cells)
 
 

@@ -12,20 +12,14 @@ elements in normal form picks up the phase correction -2 * (z_a . x_b) mod 2D.
 That sign is locked by a dense-matrix regression test; do not change it
 without re-deriving against the explicit matrices.
 
-All group arithmetic is exact integer arithmetic; complex numbers appear only
-in the dense realization.
+All group arithmetic is exact integer arithmetic; the dense matrices it is
+checked against live in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-
-from .errors import BudgetExceededError
-
-DEFAULT_MATRIX_DIM_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -83,19 +77,6 @@ def make_pauli(
     return PauliProduct(dimension, parties, int(phase_exp) % (2 * dimension), x, z)
 
 
-def single_site(
-    dimension: int, parties: int, site: int, x: int = 0, z: int = 0, phase_exp: int = 0
-) -> PauliProduct:
-    """X**x Z**z on one site (0-based), identity elsewhere."""
-    if not 0 <= site < parties:
-        raise ValueError(f"site {site} out of range")
-    xs = [0] * parties
-    zs = [0] * parties
-    xs[site] = x
-    zs[site] = z
-    return make_pauli(dimension, parties, phase_exp, xs, zs)
-
-
 def _check_compatible(a: PauliProduct, b: PauliProduct):
     if a.dimension != b.dimension or a.parties != b.parties:
         raise ValueError(
@@ -140,24 +121,6 @@ def symplectic_inner(a: PauliProduct, b: PauliProduct) -> int:
     _check_compatible(a, b)
     val = sum(za * xb - xa * zb for xa, za, xb, zb in zip(a.x_exp, a.z_exp, b.x_exp, b.z_exp))
     return val % a.dimension
-
-
-def dense_matrix(p: PauliProduct, max_dim: int = DEFAULT_MATRIX_DIM_BUDGET) -> np.ndarray:
-    """Exact dense realization lam**phase * kron_k(X**x_k Z**z_k); unitary.
-
-    Refuses to materialize matrices larger than ``max_dim`` on a side.
-    """
-    d = p.dimension
-    dim = d**p.parties
-    if dim > max_dim:
-        raise BudgetExceededError(f"dense matrix of size {dim} exceeds budget {max_dim}")
-    mat = None
-    for x, z in zip(p.x_exp, p.z_exp):
-        site = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            site[(j - x) % d, j] = np.exp(2j * np.pi * ((z * j) % d) / d)
-        mat = site if mat is None else np.kron(mat, site)
-    return np.exp(1j * np.pi * p.phase_exp / d) * mat
 
 
 def format_pauli(p: PauliProduct) -> str:

@@ -1,10 +1,13 @@
 """Exact integer arithmetic: factorization, CRT, span orders and kernels mod D.
 
 Everything here is pure and exact (Python big integers, no floats). One
-elimination mod D backs all the linear algebra: the span order that the
-symbolic AME verifier evaluates per subset carries no transform, and the same
-diagonalization carrying its left transform gives the relations among
-generators that group validation and witnesses need. The rest is the
+elimination mod D backs all the linear algebra. The span order that the
+symbolic AME verifier evaluates per subset carries no transform: it first
+retires every unit pivot (an entry prime to D) with plain row subtractions,
+then diagonalizes what is left. The relations among generators that group
+validation and witnesses need come from the one diagonalization carrying its
+left transform, with no unit shortcut, since those relations choose the
+printed witness. The rest is the
 Chinese-remainder splitting of composite local dimensions and the Sylow
 idempotents used to pull prime-power components out of abelian Pauli
 subgroups.
@@ -82,19 +85,6 @@ def crt_split(residue: int, f: PrimePowerFactorization) -> tuple[int, ...]:
     return tuple(residue % q for q in f.prime_powers)
 
 
-def crt_combine(residues: Sequence[int], f: PrimePowerFactorization) -> int:
-    """Inverse of :func:`crt_split`: reassemble a residue mod D from factor residues."""
-    qs = f.prime_powers
-    if len(residues) != len(qs):
-        raise ValueError(f"expected {len(qs)} residues, got {len(residues)}")
-    total = 0
-    for i, (r, q) in enumerate(zip(residues, qs)):
-        if not 0 <= r < q:
-            raise ValueError(f"residue {r} out of range [0, {q}) at factor {i}")
-        total += r * sylow_exponent(f, i)
-    return total % f.dimension
-
-
 def sylow_exponent(f: PrimePowerFactorization, i: int) -> int:
     """CRT idempotent m_i: m_i = 1 (mod q_i) and m_i = 0 (mod q_j) for j != i.
 
@@ -157,15 +147,17 @@ def _diagonalize_mod(rows: Sequence[Sequence[int]], modulus: int, width: int):
     a = [[v % m for v in row] for row in rows]
     out = []
     while True:
-        pivot = None
+        # The pivot is the first smallest nonzero entry in row-major order.
+        r, p = None, 0
         for i, row in enumerate(a):
-            for j in range(width):
-                v = row[j]
-                if v and (pivot is None or v < a[pivot[0]][pivot[1]]):
-                    pivot = (i, j)
-        if pivot is None:
+            v = min(filter(None, row[:width]), default=0)
+            if v and (r is None or v < p):
+                r, p = i, v
+                if p == 1:
+                    break
+        if r is None:
             break
-        r, c = pivot
+        c = a[r].index(p, 0, width)
         while True:
             # Clear column c with row steps.
             for i, row in enumerate(a):
@@ -184,11 +176,18 @@ def _diagonalize_mod(rows: Sequence[Sequence[int]], modulus: int, width: int):
                 if j == c or not b:
                     continue
                 s, t, u, v = _gcd_step(top[c], b)
+                if t:
+                    for row in a:
+                        y, x = row[c], row[j]
+                        row[c] = (s * y + t * x) % m
+                        row[j] = (v * x - u * y) % m
+                    refilled = True
+                    continue
+                # A plain subtraction (s = v = 1) leaves rows with row[c] = 0 alone.
                 for row in a:
-                    y, x = row[c], row[j]
-                    row[c] = (s * y + t * x) % m
-                    row[j] = (v * x - u * y) % m
-                refilled = refilled or t != 0
+                    y = row[c]
+                    if y:
+                        row[j] = (row[j] - u * y) % m
             if not refilled:
                 break
         top = a.pop(r)
@@ -203,12 +202,35 @@ def _diagonalize_mod(rows: Sequence[Sequence[int]], modulus: int, width: int):
 def span_order_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
     """Order of the subgroup of Z_modulus^c spanned by ``rows``.
 
-    A pivot p of the diagonal form spans a cyclic factor of order
-    modulus / gcd(p, modulus), with gcd(0, modulus) = modulus.
+    Unit pivots go first, in one sweep over the rows. A row holding an entry
+    u with gcd(u, modulus) = 1 clears u's column from every other row by
+    row_i -= (row_i[c] * u^-1) * row and is dropped: it spans a cyclic factor
+    of order modulus, and column steps against a unit pivot would only touch
+    its own row. What remains is diagonalized; a pivot p there spans a cyclic
+    factor of order modulus / gcd(p, modulus), with gcd(0, modulus) = modulus.
     """
+    m = modulus
+    a = [[v % m for v in row] for row in rows]
     order = 1
-    for pivot, _ in _diagonalize_mod(rows, modulus, len(rows[0]) if rows else 0):
-        order *= modulus // math.gcd(pivot, modulus)
+    i = 0
+    while i < len(a):
+        top = a[i]
+        for c, u in enumerate(top):
+            if math.gcd(u, m) == 1:
+                break
+        else:
+            i += 1
+            continue
+        del a[i]
+        inverse = pow(u, -1, m)
+        for k, row in enumerate(a):
+            f = row[c] * inverse % m
+            if f:
+                a[k] = [(x - f * y) % m for x, y in zip(row, top)]
+        order *= m
+    # Retired columns are zero in every remaining row, so they stay in place.
+    for pivot, _ in _diagonalize_mod(a, m, len(rows[0]) if rows else 0):
+        order *= m // math.gcd(pivot, m)
     return order
 
 
@@ -223,7 +245,7 @@ def kernel_mod(rows: Sequence[Sequence[int]], modulus: int) -> tuple[int, list[l
     """
     k = len(rows)
     width = len(rows[0]) if rows else 0
-    augmented = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows)]
+    augmented = [[*row, *[0] * i, 1, *[0] * (k - 1 - i)] for i, row in enumerate(rows)]
     order = 1
     relations = []
     for pivot, left in _diagonalize_mod(augmented, modulus, width):

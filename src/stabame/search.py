@@ -99,18 +99,6 @@ class GraphState:
         return tuple(tuple(row) for row in a)
 
 
-def graph_from_index(dimension: int, parties: int, index: int) -> GraphState:
-    """Candidate number ``index`` in the lexicographic enumeration."""
-    slots = num_edge_slots(parties)
-    total = dimension**slots
-    if not 0 <= index < total:
-        raise ValueError(f"candidate index {index} out of range [0, {total})")
-    entries = []
-    for k in range(slots):
-        entries.append((index // dimension ** (slots - 1 - k)) % dimension)
-    return GraphState(dimension, parties, tuple(entries))
-
-
 def graph_to_group(graph: GraphState) -> StabilizerGroup:
     """Stabilizer group with one generator X_v * prod_u Z_u^(A[v][u]) per vertex.
 

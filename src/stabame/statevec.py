@@ -97,17 +97,6 @@ def fidelity(a: DenseState, b: DenseState) -> float:
     return abs(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def states_equal(a: DenseState, b: DenseState, tol: float = NORM_TOL) -> bool:
-    """Equality up to global phase."""
-    return fidelity(a, b) > 1.0 - tol
-
-
-def basis_state(dimension: int, parties: int, index: int) -> DenseState:
-    amps = np.zeros(dimension**parties, dtype=complex)
-    amps[index] = 1.0
-    return DenseState(dimension, parties, amps)
-
-
 def state_from_group(
     g: StabilizerGroup, dense_budget: int = DEFAULT_DENSE_BUDGET
 ) -> DenseState:
@@ -260,21 +249,3 @@ def permute_levels(state: DenseState, perm: Sequence[int]) -> DenseState:
     inv = np.argsort(perm)
     amps = state.amplitudes.reshape((d,) * state.parties)[np.ix_(*[inv] * state.parties)]
     return DenseState(d, state.parties, amps.reshape(-1))
-
-
-def apply_local_unitary(state: DenseState, unitaries: Sequence[np.ndarray]) -> DenseState:
-    """Apply one unitary per party; each must have |u^dagger u - I| <= NORM_TOL."""
-    d = state.dimension
-    n = state.parties
-    if len(unitaries) != n:
-        raise ValueError(f"need {n} unitaries, got {len(unitaries)}")
-    vec = state.amplitudes
-    for k, u in enumerate(unitaries):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (d, d):
-            raise ValueError(f"unitary {k} has shape {u.shape}, expected ({d}, {d})")
-        if not np.abs(u.conj().T @ u - np.eye(d)).max() <= NORM_TOL:
-            raise ValueError(f"matrix {k} is not unitary")
-        view = vec.reshape(d**k, d, d ** (n - 1 - k))
-        vec = np.einsum("ab,ibj->iaj", u, view).reshape(-1)
-    return DenseState(d, n, vec)

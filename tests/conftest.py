@@ -1,9 +1,11 @@
 """Shared test helpers: independent dense oracles and random instance builders.
 
 The reference Pauli matrices here are built straight from the defining sums
-(literal loops, numpy matrix powers, kron) and never touch the package's own
-dense_matrix, so they can serve as an independent oracle for the group
-arithmetic.
+(literal loops, numpy matrix powers, kron) and never touch :func:`dense_matrix`,
+the column-by-column realization below, so the two check each other and the
+group arithmetic. The helpers at the end (dense matrices, single-site
+elements, basis states, local unitaries, CRT recombination, the scalar
+candidate decoder) have no caller in the package.
 """
 
 import math
@@ -12,9 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
+from stabame.errors import BudgetExceededError
 from stabame.pauli import PauliProduct, make_pauli, multiply
+from stabame.ring import PrimePowerFactorization, sylow_exponent
 from stabame.search import GraphState, graph_to_group, num_edge_slots
 from stabame.stabgroup import StabilizerGroup, generator_product
+from stabame.statevec import NORM_TOL, DenseState, fidelity
 
 
 def ref_x_matrix(d: int) -> np.ndarray:
@@ -180,3 +185,88 @@ def snf_diagonal_oracle(matrix) -> list:
     for k in range(1, r + 1):
         diag.append(0 if minors[k] == 0 else minors[k] // minors[k - 1])
     return diag
+
+
+def single_site(
+    dimension: int, parties: int, site: int, x: int = 0, z: int = 0, phase_exp: int = 0
+) -> PauliProduct:
+    """X**x Z**z on one site (0-based), identity elsewhere."""
+    if not 0 <= site < parties:
+        raise ValueError(f"site {site} out of range")
+    xs = [0] * parties
+    zs = [0] * parties
+    xs[site] = x
+    zs[site] = z
+    return make_pauli(dimension, parties, phase_exp, xs, zs)
+
+
+def dense_matrix(p: PauliProduct, max_dim: int = 2048) -> np.ndarray:
+    """Exact dense realization lam**phase * kron_k(X**x_k Z**z_k); unitary.
+
+    Refuses to materialize matrices larger than ``max_dim`` on a side.
+    """
+    d = p.dimension
+    dim = d**p.parties
+    if dim > max_dim:
+        raise BudgetExceededError(f"dense matrix of size {dim} exceeds budget {max_dim}")
+    mat = None
+    for x, z in zip(p.x_exp, p.z_exp):
+        site = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            site[(j - x) % d, j] = np.exp(2j * np.pi * ((z * j) % d) / d)
+        mat = site if mat is None else np.kron(mat, site)
+    return np.exp(1j * np.pi * p.phase_exp / d) * mat
+
+
+def states_equal(a: DenseState, b: DenseState, tol: float = NORM_TOL) -> bool:
+    """Equality up to global phase."""
+    return fidelity(a, b) > 1.0 - tol
+
+
+def basis_state(dimension: int, parties: int, index: int) -> DenseState:
+    amps = np.zeros(dimension**parties, dtype=complex)
+    amps[index] = 1.0
+    return DenseState(dimension, parties, amps)
+
+
+def apply_local_unitary(state: DenseState, unitaries: Sequence[np.ndarray]) -> DenseState:
+    """Apply one unitary per party; each must have |u^dagger u - I| <= NORM_TOL."""
+    d = state.dimension
+    n = state.parties
+    if len(unitaries) != n:
+        raise ValueError(f"need {n} unitaries, got {len(unitaries)}")
+    vec = state.amplitudes
+    for k, u in enumerate(unitaries):
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (d, d):
+            raise ValueError(f"unitary {k} has shape {u.shape}, expected ({d}, {d})")
+        if not np.abs(u.conj().T @ u - np.eye(d)).max() <= NORM_TOL:
+            raise ValueError(f"matrix {k} is not unitary")
+        view = vec.reshape(d**k, d, d ** (n - 1 - k))
+        vec = np.einsum("ab,ibj->iaj", u, view).reshape(-1)
+    return DenseState(d, n, vec)
+
+
+def crt_combine(residues: Sequence[int], f: PrimePowerFactorization) -> int:
+    """Inverse of :func:`crt_split`: reassemble a residue mod D from factor residues."""
+    qs = f.prime_powers
+    if len(residues) != len(qs):
+        raise ValueError(f"expected {len(qs)} residues, got {len(residues)}")
+    total = 0
+    for i, (r, q) in enumerate(zip(residues, qs)):
+        if not 0 <= r < q:
+            raise ValueError(f"residue {r} out of range [0, {q}) at factor {i}")
+        total += r * sylow_exponent(f, i)
+    return total % f.dimension
+
+
+def graph_from_index(dimension: int, parties: int, index: int) -> GraphState:
+    """Candidate number ``index`` in the lexicographic enumeration."""
+    slots = num_edge_slots(parties)
+    total = dimension**slots
+    if not 0 <= index < total:
+        raise ValueError(f"candidate index {index} out of range [0, {total})")
+    entries = []
+    for k in range(slots):
+        entries.append((index // dimension ** (slots - 1 - k)) % dimension)
+    return GraphState(dimension, parties, tuple(entries))

@@ -10,14 +10,21 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_graph_group, random_pauli
+from conftest import (
+    apply_local_unitary,
+    crt_combine,
+    dense_matrix,
+    haar_unitary,
+    random_graph_group,
+    random_pauli,
+)
 from snf import integer_determinant, matrix_multiply, smith_normal_form
 from stabame.ame import decompose, merge_factors, reduce_ame, verify_ame_symbolic
 from stabame.cli import main as cli_main
 from stabame.errors import FactsError
 from stabame.nogo import default_facts, load_facts, propagate
-from stabame.pauli import dense_matrix, multiply, symplectic_inner
-from stabame.ring import crt_combine, crt_split, factorize, sylow_exponent
+from stabame.pauli import multiply, symplectic_inner
+from stabame.ring import crt_split, factorize, sylow_exponent
 from stabame.search import graph_to_group, search_ame
 from stabame.stabgroup import (
     bell_group,
@@ -26,7 +33,6 @@ from stabame.stabgroup import (
     validate,
 )
 from stabame.statevec import (
-    apply_local_unitary,
     permute_levels,
     state_from_group,
     tensor,

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    graph_from_index,
     random_graph,
     random_graph_group,
     ref_x_matrix,
     ref_z_matrix,
+    single_site,
+    states_equal,
     unimodular_mix,
 )
 from enumeration import first_supported_subset
@@ -19,7 +22,7 @@ from stabame.ame import (
     verify_ame,
     verify_ame_symbolic,
 )
-from stabame.pauli import make_pauli, single_site
+from stabame.pauli import make_pauli
 from stabame.ring import factorize, span_order_mod
 from stabame.search import GraphState, graph_to_group, num_edge_slots, search_ame
 from stabame.stabgroup import (
@@ -35,7 +38,6 @@ from stabame.statevec import (
     permute_levels,
     reduced_density,
     state_from_group,
-    states_equal,
     tensor,
     verify_ame_dense,
 )
@@ -113,8 +115,6 @@ def test_symbolic_rejects_invalid_group():
 
 def test_symbolic_no_graph_state_ame_4_2():
     # all 64 qubit graph states on 4 parties fail
-    from stabame.search import graph_from_index
-
     hits = 0
     for idx in range(64):
         g = graph_to_group(graph_from_index(2, 4, idx))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,8 +8,12 @@ import numpy as np
 import pytest
 
 import stabame
+from conftest import crt_combine, random_graph, unimodular_mix
+from stabame.ame import verify_ame_symbolic
 from stabame.cli import main
-from stabame.stabgroup import parse_generator_file, validate
+from stabame.ring import factorize
+from stabame.search import GraphState, graph_to_group
+from stabame.stabgroup import format_generator_file, parse_generator_file, validate
 from stabame.statevec import state_from_group
 
 
@@ -310,3 +315,59 @@ def test_cli_quiet_stderr_on_success(tmp_path, capsys):
     run(["decompose", str(gens), "--out", str(tmp_path / "dec.txt")])
     run(["nogo", "--out", str(tmp_path / "t.csv")])
     assert capsys.readouterr().err == ""
+
+
+def _ame_graph(rng, dimension, parties):
+    """An AME graph over Z_d: per prime power q of d, the first seeded random
+    graph over Z_q that is AME, joined entry by entry by CRT. The minors of
+    the joined graph reduce to those of each factor graph mod q, so it
+    passes the block-minor test at d exactly because every factor does."""
+    f = factorize(dimension)
+    factors = []
+    for q in f.prime_powers:
+        graph = random_graph(rng, q, parties)
+        while not verify_ame_symbolic(graph_to_group(graph)).is_ame:
+            graph = random_graph(rng, q, parties)
+        factors.append(graph.upper)
+    return GraphState(dimension, parties, tuple(crt_combine(r, f) for r in zip(*factors)))
+
+
+def verify_reports(tmp_path, dimension):
+    """Exit codes and ``verify --method symbolic`` reports, n = 4..7, of four
+    random and one AME graph group per n, each on generators mixed by a
+    seeded unimodular change of basis. No AME state of 4 or 7 qubits exists
+    (Higuchi and Sudbery 2000; Huber, Guhne and Siewert 2017), so at even d
+    those n get no AME input."""
+    rng = np.random.default_rng(4000 + dimension)
+    gens, report = tmp_path / "mixed.gens", tmp_path / "report.txt"
+    out = []
+    for parties in range(4, 8):
+        graphs = [random_graph(rng, dimension, parties) for _ in range(4)]
+        if dimension % 2 or parties not in (4, 7):
+            graphs.append(_ame_graph(rng, dimension, parties))
+        for graph in graphs:
+            gens.write_text(format_generator_file(unimodular_mix(rng, graph_to_group(graph))))
+            code = run(["verify", str(gens), "--method", "symbolic", "--out", str(report)])
+            out.append((code, report.read_text()))
+    return out
+
+
+# SHA-256 over the exit codes and reports of verify_reports, taken while span
+# orders ran the extended-gcd diagonalization alone. kernel_mod's relations
+# choose each witness line, so a change to its transform shows here.
+VERIFY_DIGESTS = {
+    4: "ce21c659c4e2f2594e0f14b148abeba928a240912447502e07f2250cbd88ccdf",
+    6: "6823fb94c909246435cd4ee243b09d263a2d2f905afcd31886cd11894e39047b",
+    8: "1510e2dfac30a93733233c6ea76697a58e3d3aaddf59a7a033bd7fbb3c58b90e",
+    12: "9a2348b1d7f3ef0c2eff3e640d2299c193bae4aa8613f0c41011f63d4e825bc1",
+    35: "ea29985cae68e0e0eec544b784cb4932cc5d2b73ce7ec516fd2770c6fcf6ed59",
+}
+
+
+@pytest.mark.parametrize("dimension", sorted(VERIFY_DIGESTS))
+def test_verify_reports_are_byte_identical(tmp_path, dimension):
+    reports = verify_reports(tmp_path, dimension)
+    assert {code for code, _ in reports} == {0, 1}
+    assert sum("witness: " in text for _, text in reports) >= 10
+    digest = hashlib.sha256("".join(f"{code}\n{text}" for code, text in reports).encode())
+    assert digest.hexdigest() == VERIFY_DIGESTS[dimension]

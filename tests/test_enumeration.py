@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph_group
+from conftest import random_graph_group, single_site
 from enumeration import enumerate_elements
 from stabame.errors import BudgetExceededError
-from stabame.pauli import PauliProduct, multiply, single_site
+from stabame.pauli import PauliProduct, multiply
 from stabame.stabgroup import StabilizerGroup, bell_group, ghz_group
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -14,6 +16,7 @@ from stabame.nogo import (
     parse_table_csv,
     propagate,
 )
+from stabame.ring import factorize
 
 
 def test_load_facts_examples():
@@ -203,3 +206,80 @@ def test_svg_is_valid_xml_and_deterministic():
 def test_emit_table_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_table(propagate([], 2, 2), "pdf")
+
+
+def seeded_facts(seed, max_parties, max_dim):
+    """8 to 40 facts of all three statuses, some outside the grid, repeats
+    included; a fact contradicting an earlier one at its (n, q) is skipped."""
+    rng = random.Random(seed)
+    prime_powers = [q for q in range(2, max_dim + 8) if factorize(q).num_factors == 1]
+    facts, polarity = [], {}
+    for k in range(rng.randint(8, 40)):
+        n = rng.randint(2, max_parties + 2)
+        q = rng.choice(prime_powers)
+        status = rng.choice(["noAME", "noStabAME", "stabAMEExists"])
+        negative = status != "stabAMEExists"
+        if polarity.setdefault((n, q), negative) == negative:
+            facts.append(KnownFact(n, q, status, f"ref{k}" if k % 5 else ""))
+    return facts
+
+
+# SHA-256 of the CSV and SVG tables of seeded_facts(seed, n, D), taken while
+# every cell was built by looking up each prime-power factor of its D.
+TABLE_DIGESTS = {
+    (1, 40, 200): (
+        "8953a54caba5c074b4a60fbc02b812f0e85a4445b1e758cb81c1b95925188f21",
+        "fd6bfa5422ec755acf9e1c4367fb01e0956f05c2d1b137d654bb07d3758e0b62",
+    ),
+    (2, 24, 120): (
+        "2277b6fb12c7c4039edc33db6a93b2ab54b714655c913fbf50b120a21f7d199c",
+        "3c124efb70af81bfc543a9b2519285fdbd58f156330066b5128b6e01e951a73f",
+    ),
+    (3, 30, 90): (
+        "b5323b783c7f52412680927a81b1e12400cc7587ae03555a5dc2b19b04f41cda",
+        "815ee7c6eb190d03759b4c1ebe38c8ac4701314bfe64c1dc15320d754f6b112e",
+    ),
+    (4, 12, 36): (
+        "acb1454173164804b5d8879826694f00f32ef69124516615c2571b0b5eb73874",
+        "45e44c91ff97af0528084536dbd5afe56d0741c31034439a1f676c8e8adfe7db",
+    ),
+    (5, 5, 9): (
+        "91b37329f237f81280435feecd5f7d917041fbe5a977ff77abf65ae2aa4264ce",
+        "da2b12c29c257e1cc86ad0e79f34c69dc1fec0c97c23c89738fcccf73094dd1b",
+    ),
+    (6, 2, 2): (
+        "8db86d3c87c32b3ff4eae375c9e0ade10537217d6a43506e65055d84bd92fd49",
+        "e90976f1621338071081d57246657fa9e0ac9b31e89e7b7ed74a75ea4d26db82",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, max_parties, max_dim", sorted(TABLE_DIGESTS))
+def test_tables_are_byte_identical(seed, max_parties, max_dim):
+    table = propagate(seeded_facts(seed, max_parties, max_dim), max_parties, max_dim)
+    digests = tuple(
+        hashlib.sha256(emit_table(table, fmt).encode()).hexdigest() for fmt in ("csv", "svg")
+    )
+    assert digests == TABLE_DIGESTS[seed, max_parties, max_dim]
+
+
+def test_reasons_follow_prime_order():
+    facts = [KnownFact(2, 3, "noAME", "three"), KnownFact(2, 8, "noStabAME", "")]
+    cells = propagate(facts, 2, 48).cells
+    assert cells[(2, 24)].detail == ("factor q=8 [noStabAME]", "factor q=3 [three]")
+    assert cells[(2, 48)].detail == ("factor q=3 [three]",)  # its 2-part is 16
+
+
+def test_conflicting_fact_pairs_keep_their_message():
+    negative = KnownFact(3, 4, "noStabAME", "x")
+    positive = KnownFact(3, 4, "stabAMEExists", "")
+    with pytest.raises(FactsError) as first:
+        propagate([negative, KnownFact(5, 2, "noAME", "y"), positive], 6, 20)
+    assert str(first.value) == (
+        "conflicting facts for (n=3, q=4): stabAMEExists [] vs noStabAME [x]"
+    )
+    with pytest.raises(FactsError) as second:
+        propagate([positive, negative], 2, 2)
+    assert str(second.value) == (
+        "conflicting facts for (n=3, q=4): noStabAME [x] vs stabAMEExists []"
+    )

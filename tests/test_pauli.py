@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_matrix,
     random_pauli,
     ref_pauli_matrix,
     ref_x_matrix,
     ref_z_matrix,
+    single_site,
     vector_action,
 )
 from stabame.errors import BudgetExceededError
 from stabame.pauli import (
     PauliProduct,
-    dense_matrix,
     format_pauli,
     make_pauli,
     multiply,
     parse_pauli,
     power,
-    single_site,
     symplectic_inner,
 )
 

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import snf_diagonal_oracle
+from conftest import crt_combine, snf_diagonal_oracle
 from snf import (
     identity_matrix,
     integer_determinant,
@@ -13,7 +13,6 @@ from snf import (
 )
 from stabame.ring import (
     PrimePowerFactorization,
-    crt_combine,
     crt_split,
     factorize,
     kernel_mod,

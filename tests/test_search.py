@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import graph_from_index
 from stabame import search
 from stabame.ame import verify_ame_symbolic
 from stabame.errors import BudgetExceededError
@@ -12,7 +13,6 @@ from stabame.search import (
     format_certificate,
     format_search_report,
     format_witness_line,
-    graph_from_index,
     graph_to_group,
     num_edge_slots,
     parse_witness_line,
@@ -292,12 +292,26 @@ def test_search_reports_are_byte_identical_to_the_index_decoder(parties, dimensi
 
 
 def test_search_builds_witnesses_from_the_decoded_rows(monkeypatch):
+    # Every candidate index is decoded once, in chunks that tile the range, and
+    # each witness is built from its decoded row: it is the scalar decoder's
+    # graph at its index, with plain int entries.
+    decoded = []
+    real = search._candidate_digits
+
+    def counted(dimension, slots, low, first, stop, dtype):
+        decoded.append((first, stop))
+        return real(dimension, slots, low, first, stop, dtype)
+
+    monkeypatch.setattr(search, "_candidate_digits", counted)
+    monkeypatch.setattr(search, "MAX_CHUNK", 7)
     full = search_ame(4, 3)
+    assert [a for a, _ in decoded] == [0] + [b for _, b in decoded[:-1]]
+    assert decoded[-1][1] == 729 and len(full.found) > 0
+    assert full.found == _symbolic_witnesses(4, 3, 0, 729)
+    assert all(type(v) is int for w in full.found for v in w.upper)
+
+    decoded.clear()
     first = search_ame(4, 3, mode="first", shard=(50, 729))
-
-    def refuse(*args):
-        raise AssertionError("search_ame decoded a candidate index a second time")
-
-    monkeypatch.setattr(search, "graph_from_index", refuse)
-    assert search_ame(4, 3) == full and len(full.found) > 0
-    assert search_ame(4, 3, mode="first", shard=(50, 729)) == first
+    assert [a for a, _ in decoded] == [50] + [b for _, b in decoded[:-1]]
+    assert first.found == (graph_from_index(3, 4, 49 + first.searched),)
+    assert all(type(v) is int for v in first.found[0].upper)

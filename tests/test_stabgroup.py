@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph_group, random_pauli
+from conftest import dense_matrix, random_graph_group, random_pauli, single_site
 from enumeration import enumerate_elements
 from stabame.errors import PhaseConventionError
-from stabame.pauli import PauliProduct, dense_matrix, make_pauli, multiply, single_site, symplectic_inner
+from stabame.pauli import PauliProduct, make_pauli, multiply, symplectic_inner
 from stabame.ring import factorize
 from stabame.stabgroup import (
     StabilizerGroup,

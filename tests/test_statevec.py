@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply_local_unitary,
     apply_pauli,
+    basis_state,
     haar_unitary,
     random_graph_group,
     random_pauli,
     seed_projections,
+    single_site,
+    states_equal,
     unimodular_mix,
 )
 from enumeration import enumerate_elements
 from stabame import statevec
 from stabame.errors import BudgetExceededError
-from stabame.pauli import make_pauli, multiply, power, single_site
+from stabame.pauli import make_pauli, multiply, power
 from stabame.search import GraphState, graph_to_group
 from stabame.ring import span_order_mod
 from stabame.stabgroup import (
@@ -27,14 +31,11 @@ from stabame.stabgroup import (
 from stabame.statevec import (
     DenseState,
     ReducedDensity,
-    apply_local_unitary,
-    basis_state,
     fidelity,
     is_maximally_mixed,
     permute_levels,
     reduced_density,
     state_from_group,
-    states_equal,
     tensor,
     verify_ame_dense,
 )
