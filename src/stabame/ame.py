@@ -18,7 +18,7 @@ and against the dense oracle rather than assuming them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ring
 # multiply stays bound here: perfbench/selftest.py checks the tracer patches ame.multiply.
-from .pauli import PauliProduct, multiply  # noqa: F401
+from .pauli import multiply  # noqa: F401
 from .stabgroup import (
     StabilizerGroup,
     embed_pauli,
@@ -39,29 +39,15 @@ from .stabgroup import (
 )
 from .statevec import (
     DEFAULT_DENSE_BUDGET,
+    AmeVerdict,
     DenseState,
     check_tolerance,
+    fidelity,
     permute_levels,
     state_from_group,
     tensor,
     verify_ame_dense,
 )
-
-
-@dataclass(frozen=True)
-class AmeVerdict:
-    """Outcome of an AME check.
-
-    ``witness`` is a nonidentity group element supported inside some
-    floor(n/2)-subset when a symbolic check fails; ``worst_deviation`` carries
-    the dense deviation when a dense check ran.
-    """
-
-    is_ame: bool
-    method: str  # "symbolic" | "dense" | "both"
-    witness: PauliProduct | None = None
-    worst_subset: tuple[int, ...] | None = None
-    worst_deviation: float | None = None
 
 
 @dataclass
@@ -85,7 +71,7 @@ def crt_unitary(f: ring.PrimePowerFactorization) -> tuple[int, ...]:
     Position j maps to sum_i (j mod q_i) * weight_i with weight_i the product
     of the later prime powers. Conjugating X_D by this permutation gives the
     tensor of the factor X operators exactly; conjugating Z_D gives the tensor
-    of Z_{q_i} raised to the CRT coefficients (:func:`crt_coefficients`).
+    of Z_{q_i}**c_i, with c_i the inverse of D/q_i modulo q_i.
     """
     qs = f.prime_powers
     weights = [int(np.prod(qs[i + 1 :])) for i in range(len(qs))]
@@ -94,19 +80,6 @@ def crt_unitary(f: ring.PrimePowerFactorization) -> tuple[int, ...]:
         digits = ring.crt_split(j, f)
         perm.append(sum(dig * w for dig, w in zip(digits, weights)))
     return tuple(perm)
-
-
-def crt_coefficients(f: ring.PrimePowerFactorization) -> tuple[int, ...]:
-    """Exponents c_i with relabeled Z_D = Z_{q_1}^{c_1} x ... x Z_{q_m}^{c_m}.
-
-    c_i is the inverse of D/q_i modulo q_i (the idempotent divided by the
-    cofactor), so omega_D^(m_i) = omega_{q_i}^(c_i).
-    """
-    out = []
-    for i, q in enumerate(f.prime_powers):
-        t = ring.cofactor_modulus(f, i)
-        out.append((ring.sylow_exponent(f, i) // t) % q)
-    return tuple(out)
 
 
 def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
@@ -181,27 +154,15 @@ def verify_ame(
     sym = verify_ame_symbolic(g) if method != "dense" else None
     if method == "symbolic":
         return sym
-    state = state_from_group(g, dense_budget=dense_budget)
-    dense = verify_ame_dense(state, tol=tol)
+    dense = verify_ame_dense(state_from_group(g, dense_budget=dense_budget), tol=tol)
     if method == "dense":
-        return AmeVerdict(
-            dense.is_ame,
-            "dense",
-            worst_subset=dense.worst_subset,
-            worst_deviation=dense.worst_deviation,
-        )
+        return dense
     if sym.is_ame != dense.is_ame:
         raise RuntimeError(
             "symbolic and dense AME verdicts disagree "
             f"({sym.is_ame} vs {dense.is_ame}); this indicates a bug"
         )
-    return AmeVerdict(
-        sym.is_ame,
-        "both",
-        witness=sym.witness,
-        worst_subset=dense.worst_subset,
-        worst_deviation=dense.worst_deviation,
-    )
+    return replace(dense, method="both", witness=sym.witness)
 
 
 def decompose(
@@ -231,7 +192,7 @@ def decompose(
         original = state_from_group(g, dense_budget=dense_budget)
         relabeled = permute_levels(original, perm)
         combined = tensor(list(factor_states))
-        overlap = abs(np.vdot(combined.amplitudes, relabeled.amplitudes))
+        overlap = fidelity(combined, relabeled)
         if overlap <= 1.0 - 1e-9:
             raise RuntimeError(
                 f"factor states do not reassemble the relabeled input (fidelity {overlap:.12f}); "

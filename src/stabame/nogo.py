@@ -123,10 +123,12 @@ def propagate(
     itself; unknown otherwise. An excluded cell lists one reason per such
     factor, in increasing-prime order.
 
-    A cell that is both excluded and witnessed would falsify either the facts
-    or the factor-propagation rule, so that aborts with a diagnostic naming the
-    first such cell in (n, D) order. The grid starts at n = 2 and D = 2, so a
-    bound below 2 is refused.
+    A pair of facts at the same (n, q), one negative and one positive, aborts
+    with a diagnostic. No other list of facts can make a cell both excluded
+    and witnessed: a positive fact sits at a prime power q = p**e, and the
+    only non-existence fact that marks (n, q) is one at (n, q') whose q' is
+    the full p-part of q, that is q' = q, the conflicting pair itself. The
+    grid starts at n = 2 and D = 2, so a bound below 2 is refused.
     """
     if max_parties < 2 or max_dim < 2:
         raise ValueError(
@@ -163,15 +165,9 @@ def propagate(
                 reasons.setdefault((n, dim), []).append(reason)
     for key, found in reasons.items():
         cells[key] = Cell(CELL_EXCLUDED, tuple(found))
-    for key in sorted(k for k in positive if k in cells):
-        pos = positive[key]
-        found = reasons.get(key)
-        if found:
-            raise FactsError(
-                f"cell (n={key[0]}, D={key[1]}) is excluded via {'; '.join(found)} but has "
-                f"witness fact [{pos.source or pos.status}]; the facts are inconsistent"
-            )
-        cells[key] = Cell(CELL_WITNESS, (pos.source or pos.status,))
+    for key, pos in positive.items():
+        if key in cells:
+            cells[key] = Cell(CELL_WITNESS, (pos.source or pos.status,))
     return NoGoTable(max_parties, max_dim, cells)
 
 

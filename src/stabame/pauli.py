@@ -60,9 +60,6 @@ class PauliProduct:
     def is_phase_only(self) -> bool:
         return not any(self.x_exp) and not any(self.z_exp)
 
-    def sort_key(self):
-        return (self.phase_exp, self.x_exp, self.z_exp)
-
 
 def make_pauli(
     dimension: int,

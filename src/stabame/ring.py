@@ -7,10 +7,10 @@ retires every unit pivot (an entry prime to D) with plain row subtractions,
 then diagonalizes what is left. The relations among generators that group
 validation and witnesses need come from the one diagonalization carrying its
 left transform, with no unit shortcut, since those relations choose the
-printed witness. The rest is the
-Chinese-remainder splitting of composite local dimensions and the Sylow
-idempotents used to pull prime-power components out of abelian Pauli
-subgroups.
+printed witness; a linear system mod D is solved from those relations too.
+The rest is the Chinese-remainder splitting of composite local dimensions
+and the Sylow idempotents used to pull prime-power components out of abelian
+Pauli subgroups.
 """
 
 from __future__ import annotations
@@ -255,3 +255,25 @@ def kernel_mod(rows: Sequence[Sequence[int]], modulus: int) -> tuple[int, list[l
         if any(relation):
             relations.append(relation)
     return order, relations
+
+
+def solve_mod(rows: Sequence[Sequence[int]], target: Sequence[int], modulus: int) -> list[int]:
+    """Some x with x @ rows = target (mod ``modulus``); ValueError if there is none.
+
+    x solves the system exactly when (x, 1) is a relation of ``rows`` with
+    -target appended as a last row (one :func:`kernel_mod` call). The last
+    coefficients of the returned relations generate an ideal mod
+    ``modulus``; extended-gcd steps combine the relations into one whose last
+    coefficient is that ideal's generator, so a solution exists exactly when
+    the generator is 1.
+    """
+    _, relations = kernel_mod([*rows, [-v for v in target]], modulus)
+    # invariant: combined[-1] = g (mod modulus), starting from 0 = modulus
+    combined, g = [0] * (len(rows) + 1), modulus
+    for relation in relations:
+        s, t, _, _ = _gcd_step(g, relation[-1])
+        combined = [(s * a + t * b) % modulus for a, b in zip(combined, relation)]
+        g = math.gcd(g, relation[-1])
+    if g != 1:
+        raise ValueError(f"x @ rows = target has no solution mod {modulus}")
+    return combined[:-1]

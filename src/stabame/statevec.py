@@ -8,9 +8,10 @@ states in exactly that digit ordering.
 Equality of states is always up to global phase, via |<a|b>| > 1 - tol.
 
 Everything runs as whole-array steps. :func:`state_from_group` writes the
-amplitudes on the state's support in closed form: the support grows from one
-seed, coset by coset, one generator at a time, and each new amplitude is an
-exact power of lam, so no D**n vector is ever projected.
+amplitudes on the state's support in closed form: the seed is solved for by
+one elimination mod 2D, the support grows from it, coset by coset, one
+generator at a time, and each new amplitude is an exact power of lam, so no
+pass over the D**n indices and no projection ever runs.
 :func:`reduced_density` (kept parties transposed first), :func:`tensor` and
 :func:`permute_levels` work on the amplitudes reshaped to one axis per party.
 :class:`ReducedDensity` tests positive semidefiniteness by a Cholesky
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import ring
 from .errors import BudgetExceededError
+from .pauli import PauliProduct
 from .stabgroup import StabilizerGroup, generator_product, validate
 
 DEFAULT_DENSE_BUDGET = 100_000
@@ -85,10 +87,19 @@ class MaxMixedReport:
 
 
 @dataclass(frozen=True)
-class DenseAmeReport:
+class AmeVerdict:
+    """Outcome of an AME check.
+
+    ``witness`` is a nonidentity group element supported inside some
+    floor(n/2)-subset when a symbolic check fails; ``worst_deviation`` carries
+    the dense deviation when a dense check ran.
+    """
+
     is_ame: bool
-    worst_subset: tuple[int, ...]
-    worst_deviation: float
+    method: str  # "symbolic" | "dense" | "both"
+    witness: PauliProduct | None = None
+    worst_subset: tuple[int, ...] | None = None
+    worst_deviation: float | None = None
 
 
 def fidelity(a: DenseState, b: DenseState) -> float:
@@ -107,9 +118,10 @@ def state_from_group(
     relations among the X rows (one ``ring.kernel_mod`` call) multiply out to
     the group's diagonal elements lam**c Z**z, and such an element fixes |j>
     exactly when c + 2 z.j = 0 (mod 2D). Their z parts are the annihilator of
-    X_G, so the basis states fixed by all of them (one pass over the D**n
-    indices for all of them together) are exactly the support; the first
-    one is the seed.
+    X_G, so the basis states fixed by all of them are exactly the support.
+    The seed is one solution j of that linear system mod 2D
+    (``ring.solve_mod``, one more elimination), so no D**n index is ever
+    tested.
 
     The support grows from the seed, generator by generator. For gen =
     lam**gamma X**x Z**z, a = |span(x_1..x_i)| / |span(x_1..x_(i-1))| (exact,
@@ -120,9 +132,12 @@ def state_from_group(
     lam**(t gamma - t(t-1)(z.x) + 2t(z.j)), the closed form of
     ``pauli.power``. Every amplitude of the fixed state is tied to the seed's
     this way, so the result is the state itself, exactly: the phases stay
-    integer exponents of lam (the seed's is 0), every amplitude has modulus
-    |X_G|**-1/2 and is written once. That is O(n |X_G|) array steps, with no
-    D**n index map and no gather.
+    integer exponents of lam, every amplitude has modulus |X_G|**-1/2 and is
+    written once. That is O(n |X_G|) array steps, with no D**n index map and
+    no gather. The global phase is fixed by rebasing the exponents so that
+    the first support index has exponent 0; the exponent differences are
+    the state's own amplitude ratios, so whichever seed the elimination
+    picks, the amplitudes come out the same, bit for bit.
     """
     report = validate(g)
     if not report.stabilizes_unique_state:
@@ -138,17 +153,14 @@ def state_from_group(
         raise BudgetExceededError(f"dense size {size} exceeds budget {dense_budget}")
     x_rows = [list(gen.x_exp) for gen in g.generators]
     _, relations = ring.kernel_mod(x_rows, d)
-    seed = 0
+    seed = [0] * n
     if relations:
         diagonals = [generator_product(g, c) for c in relations]
-        # c + 2 z.j for every diagonal and every basis index j, party by party
-        test = np.array([[p.phase_exp] for p in diagonals])
-        for k in range(n):
-            terms = np.outer([2 * p.z_exp[k] for p in diagonals], np.arange(d))
-            test = (test[:, :, None] + terms[:, None, :]).reshape(len(diagonals), -1)
-        seed = int(np.argmax(~(test % (2 * d)).any(axis=0)))
+        # 2 z.j = -c (mod 2D): one row per party, one column per diagonal
+        z_rows = [[2 * p.z_exp[k] for p in diagonals] for k in range(n)]
+        seed = ring.solve_mod(z_rows, [-p.phase_exp for p in diagonals], 2 * d)
     # one row of digits per party, one column per support point
-    support = np.array(np.unravel_index(seed, (d,) * n))[:, None]
+    support = np.array(seed)[:, None] % d
     exps = np.zeros(1, dtype=np.int64)
     span = 1
     for i, gen in enumerate(g.generators):
@@ -163,9 +175,11 @@ def state_from_group(
         exps = (exps + steps[:, None] + 2 * t[:, None] * (z @ support)).reshape(-1)
         support = (support[:, None, :] + (np.outer(x, -t) % d)[:, :, None]).reshape(n, -1)
         support[support >= d] -= d
+    index = d ** np.arange(n - 1, -1, -1) @ support
+    exps -= exps[np.argmin(index)]
     roots = np.exp(1j * np.pi * np.arange(2 * d) / d) / math.sqrt(len(exps))
     vec = np.zeros(size, dtype=complex)
-    vec[d ** np.arange(n - 1, -1, -1) @ support] = roots[exps % (2 * d)]
+    vec[index] = roots[exps % (2 * d)]
     return DenseState(d, n, vec)
 
 
@@ -196,7 +210,7 @@ def is_maximally_mixed(rho: ReducedDensity, tol: float) -> MaxMixedReport:
     return MaxMixedReport(dev <= tol, dev)
 
 
-def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> DenseAmeReport:
+def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> AmeVerdict:
     """Check every floor(n/2)-party reduction for maximal mixedness.
 
     Subsets are visited in lexicographic order; the verdict is independent of
@@ -214,7 +228,12 @@ def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> DenseAmeReport
     worst_subset = next(
         sub for sub, report in reports if report.max_deviation >= worst - ALGEBRA_TOL
     )
-    return DenseAmeReport(all(report.verdict for _, report in reports), worst_subset, worst)
+    return AmeVerdict(
+        all(report.verdict for _, report in reports),
+        "dense",
+        worst_subset=worst_subset,
+        worst_deviation=worst,
+    )
 
 
 def tensor(states: Sequence[DenseState]) -> DenseState:

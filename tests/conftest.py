@@ -4,8 +4,8 @@ The reference Pauli matrices here are built straight from the defining sums
 (literal loops, numpy matrix powers, kron) and never touch :func:`dense_matrix`,
 the column-by-column realization below, so the two check each other and the
 group arithmetic. The helpers at the end (dense matrices, single-site
-elements, basis states, local unitaries, CRT recombination, the scalar
-candidate decoder) have no caller in the package.
+elements, basis states, local unitaries, CRT recombination and coefficients,
+the scalar candidate decoder) have no caller in the package.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 
 from stabame.errors import BudgetExceededError
 from stabame.pauli import PauliProduct, make_pauli, multiply
-from stabame.ring import PrimePowerFactorization, sylow_exponent
+from stabame.ring import PrimePowerFactorization, cofactor_modulus, sylow_exponent
 from stabame.search import GraphState, graph_to_group, num_edge_slots
 from stabame.stabgroup import StabilizerGroup, generator_product
 from stabame.statevec import NORM_TOL, DenseState, fidelity
@@ -258,6 +258,17 @@ def crt_combine(residues: Sequence[int], f: PrimePowerFactorization) -> int:
             raise ValueError(f"residue {r} out of range [0, {q}) at factor {i}")
         total += r * sylow_exponent(f, i)
     return total % f.dimension
+
+
+def crt_coefficients(f: PrimePowerFactorization) -> tuple[int, ...]:
+    """Exponents c_i with CRT-relabeled Z_D = Z_{q_1}^{c_1} x ... x Z_{q_m}^{c_m}.
+
+    c_i is the inverse of D/q_i modulo q_i (the idempotent divided by the
+    cofactor), so omega_D^(m_i) = omega_{q_i}^(c_i).
+    """
+    return tuple(
+        (sylow_exponent(f, i) // cofactor_modulus(f, i)) % q for i, q in enumerate(f.prime_powers)
+    )
 
 
 def graph_from_index(dimension: int, parties: int, index: int) -> GraphState:

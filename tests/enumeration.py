@@ -41,7 +41,12 @@ def enumerate_elements(
                     )
                 seen.add(nxt)
                 queue.append(nxt)
-    return GroupElementSet(tuple(sorted(seen, key=PauliProduct.sort_key)))
+    return GroupElementSet(tuple(sorted(seen, key=sort_key)))
+
+
+def sort_key(p: PauliProduct):
+    """Order of the listed elements: by phase, then X part, then Z part."""
+    return (p.phase_exp, p.x_exp, p.z_exp)
 
 
 def support_mask(p: PauliProduct) -> int:

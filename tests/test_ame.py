@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    crt_coefficients,
     graph_from_index,
     random_graph,
     random_graph_group,
@@ -13,7 +14,6 @@ from conftest import (
 )
 from enumeration import first_supported_subset
 from stabame.ame import (
-    crt_coefficients,
     crt_unitary,
     decompose,
     format_decomposition_report,

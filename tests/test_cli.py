@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 
 import stabame
-from conftest import crt_combine, random_graph, unimodular_mix
+from conftest import crt_combine, random_graph, random_graph_group, random_pauli, unimodular_mix
 from stabame.ame import verify_ame_symbolic
 from stabame.cli import main
+from stabame.pauli import multiply, power
 from stabame.ring import factorize
 from stabame.search import GraphState, graph_to_group
-from stabame.stabgroup import format_generator_file, parse_generator_file, validate
+from stabame.stabgroup import (
+    StabilizerGroup,
+    format_generator_file,
+    generator_product,
+    ghz_group,
+    parse_generator_file,
+    validate,
+)
 from stabame.statevec import state_from_group
 
 
@@ -170,16 +178,25 @@ def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
     real_synthesis = ame.state_from_group
 
     def counted_kernel(rows, d):
-        calls.append(rows)
+        calls.append((rows, d))
         return real_kernel(rows, d)
 
     def counted_synthesis(g, **kwargs):
         before = len(calls)
         state = real_synthesis(g, **kwargs)
-        # exactly one elimination per synthesized state, on its X rows
-        assert calls[before:] == [[list(gen.x_exp) for gen in g.generators]]
+        # one elimination of the X rows mod D and, only when they have
+        # relations, one of the seed system 2 z.j = -c (mod 2D) built from
+        # the diagonal relation products lam**c Z**z
+        d, x_rows = g.dimension, [list(gen.x_exp) for gen in g.generators]
+        expected = [(x_rows, d)]
+        _, relations = real_kernel(x_rows, d)
+        if relations:
+            diagonals = [generator_product(g, c) for c in relations]
+            rows = [[2 * p.z_exp[k] for p in diagonals] for k in range(g.parties)]
+            expected.append(([*rows, [p.phase_exp for p in diagonals]], 2 * d))
+        assert calls[before:] == expected
         del calls[before:]
-        synthesized.append(g)
+        synthesized.append(len(expected))
         return state
 
     monkeypatch.setattr(ring, "kernel_mod", counted_kernel)
@@ -194,6 +211,12 @@ def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
     assert run(["verify", str(not_ame), "--method", "both", "--out", str(tmp_path / "b")]) == 1
     assert len(calls) == 3  # validation and the witness of the first failing subset
     assert len(synthesized) == 2
+    graph = tmp_path / "graph.gens"
+    run(["construct", "graph", "--dim", "6", "--adjacency", "1", "--out", str(graph)])
+    assert run(["verify", str(graph), "--method", "both", "--out", str(tmp_path / "c")]) == 0
+    assert len(calls) == 4
+    # the Bell and product X rows have relations, the graph's identity rows none
+    assert synthesized == [2, 2, 1]
 
 
 def test_main_dispatches_through_the_module_names(monkeypatch):
@@ -371,3 +394,73 @@ def test_verify_reports_are_byte_identical(tmp_path, dimension):
     assert sum("witness: " in text for _, text in reports) >= 10
     digest = hashlib.sha256("".join(f"{code}\n{text}" for code, text in reports).encode())
     assert digest.hexdigest() == VERIFY_DIGESTS[dimension]
+
+
+def dense_groups(rng, dimension, max_parties):
+    """Seeded GHZ, random graph and (for n <= 3) AME graph groups over
+    ``dimension`` for n = 2..max_parties, each on generators mixed by a
+    unimodular change of basis; each once more with two redundant generators
+    (products over random coefficients) appended, so that graph groups get
+    relations among their X rows too; and that group once more conjugated by
+    a random Pauli element, which moves the support off index 0 and puts
+    nonzero phases on the diagonal elements."""
+    groups = []
+    for parties in range(2, max_parties + 1):
+        bases = [ghz_group(dimension, parties), random_graph_group(rng, dimension, parties)]
+        if parties <= 3:
+            bases.append(graph_to_group(_ame_graph(rng, dimension, parties)))
+        for base in bases:
+            mixed = unimodular_mix(rng, base)
+            extra = tuple(
+                generator_product(mixed, [int(c) for c in rng.integers(0, dimension, parties)])
+                for _ in range(2)
+            )
+            redundant = StabilizerGroup(dimension, parties, mixed.generators + extra)
+            p = random_pauli(rng, dimension, parties)
+            shifted = tuple(multiply(multiply(p, gen), power(p, -1)) for gen in redundant.generators)
+            groups += [mixed, redundant, StabilizerGroup(dimension, parties, shifted)]
+    return groups
+
+
+def dense_reports(tmp_path, groups):
+    """Exit codes and reports of ``verify --method dense``, ``--method both``
+    and ``decompose`` on every group."""
+    gens, report = tmp_path / "dense.gens", tmp_path / "report.txt"
+    out = []
+    for group in groups:
+        gens.write_text(format_generator_file(group))
+        for argv in (["verify", "--method", "dense"], ["verify", "--method", "both"],
+                     ["decompose"]):
+            code = run([*argv, str(gens), "--out", str(report)])
+            out.append((code, report.read_text()))
+    return out
+
+
+# (max parties, SHA-256 of the dense_reports exit codes and reports, SHA-256
+# of the state_from_group amplitude bytes) per dimension, taken while the
+# synthesis seed was the first basis index passing a test over all D**n
+# indices.
+DENSE_DIGESTS = {
+    4: (5, "d68104bd35f900b16fc1e6e8831195e4a8ec2f974ee1a60b43d67f48671d6906",
+        "2f11adcfd16316b80d486c5eaf062d50af52cfedea765755e4b744f64839f692"),
+    6: (5, "8a6d5aa9362f9b816299952d26d8651b4ae9f750a3ee7c869b905b7d46a5f72a",
+        "435a9d6415fb68bce071cd1a3ea9806a443552ecf2610c590891de05114a420d"),
+    10: (4, "86e47441436d77460a8a577a0323e02c168be321b73461be620405dc406c2889",
+         "58511f8d8b61bb92ef6eef032c16377fd1808abed82f211932c49cdf25e2cf0c"),
+    12: (4, "96cbe567d69aa3015e06b4ffd45166cf88ecb666e3d45b38041778e4a99bb8bb",
+         "826aa614e7bb247367bfbda181eaad8661fb02004016d7cdc52e329ffe827045"),
+    30: (3, "9794403d428447edfde5e06115d54409170418d06bc14d09fd91fdbec6cb651c",
+         "ee4e100903f3e40de16123eadb0dda6a2c005d593ccc70b1e310509d47483af4"),
+}
+
+
+@pytest.mark.parametrize("dimension", sorted(DENSE_DIGESTS))
+def test_dense_reports_and_amplitudes_are_byte_identical(tmp_path, dimension):
+    max_parties, report_digest, amplitude_digest = DENSE_DIGESTS[dimension]
+    groups = dense_groups(np.random.default_rng(5000 + dimension), dimension, max_parties)
+    reports = dense_reports(tmp_path, groups)
+    assert {code for code, _ in reports} == {0, 1}
+    digest = hashlib.sha256("".join(f"{code}\n{text}" for code, text in reports).encode())
+    assert digest.hexdigest() == report_digest
+    amplitudes = b"".join(state_from_group(g).amplitudes.tobytes() for g in groups)
+    assert hashlib.sha256(amplitudes).hexdigest() == amplitude_digest

@@ -283,3 +283,35 @@ def test_conflicting_fact_pairs_keep_their_message():
     assert str(second.value) == (
         "conflicting facts for (n=3, q=4): noStabAME [x] vs stabAMEExists []"
     )
+
+
+def test_witness_cells_are_the_positive_facts_and_never_excluded():
+    # Seeded fact lists with no conflicting pair: the excluded cells are
+    # exactly those with a negative fact at one of their prime-power factors
+    # (checked here by factorizing every D), the witness cells exactly the
+    # positive facts inside the grid, and no cell is both. Near misses, a
+    # positive fact at q = p**e beside a negative one at a proper power of p,
+    # are the cells a divisibility rule instead of the q-part rule would get
+    # wrong; the sweep must hold some.
+    near_misses = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        max_parties, max_dim = rng.randint(2, 10), rng.randint(2, 70)
+        facts = seeded_facts(1000 + seed, max_parties, max_dim)
+        cells = propagate(facts, max_parties, max_dim).cells
+        negative = {(f.parties, f.local_dim) for f in facts if f.negative}
+        excluded = {
+            (n, d) for n, d in cells if any((n, q) in negative for q in factorize(d).prime_powers)
+        }
+        witnessed = {
+            (f.parties, f.local_dim)
+            for f in facts
+            if not f.negative and (f.parties, f.local_dim) in cells
+        }
+        assert not excluded & witnessed
+        assert {key for key, cell in cells.items() if cell.status == CELL_WITNESS} == witnessed
+        assert {key for key, cell in cells.items() if cell.status == CELL_EXCLUDED} == excluded
+        near_misses += sum(
+            (n, q) in negative for n, d in witnessed for q in range(2, d) if d % q == 0
+        )
+    assert near_misses >= 3

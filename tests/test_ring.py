@@ -16,6 +16,7 @@ from stabame.ring import (
     crt_split,
     factorize,
     kernel_mod,
+    solve_mod,
     span_order_mod,
     sylow_exponent,
 )
@@ -280,6 +281,38 @@ def test_kernel_relations_generate_the_brute_force_kernel():
         kernel = {c for c in product(range(d), repeat=k) if _annihilates(c, matrix, d)}
         assert len(kernel) * order == d**k, (d, matrix)
         assert _span_mod(relations, d, k) == kernel, (d, matrix, relations)
+
+
+def test_solve_mod_agrees_with_brute_force():
+    # half the targets are images x0 @ M, so solvable; the rest are random
+    rng = np.random.default_rng(20261021)
+    solved = unsolvable = 0
+    for case in range(300):
+        d = (2, 4, 6, 8, 12, 18, 20, 60)[case % 8]
+        k = int(rng.integers(1, 5))
+        while d**k > 4096:
+            k -= 1
+        cols = int(rng.integers(1, 5))
+        matrix = [[_biased_entry(rng, d) for _ in range(cols)] for _ in range(k)]
+        if case % 2:
+            x0 = [int(v) for v in rng.integers(0, d, k)]
+            target = [sum(a * row[j] for a, row in zip(x0, matrix)) for j in range(cols)]
+        else:
+            target = [int(v) for v in rng.integers(-d, d, cols)]
+        images = {
+            tuple(sum(a * row[j] for a, row in zip(x, matrix)) % d for j in range(cols))
+            for x in product(range(d), repeat=k)
+        }
+        if tuple(t % d for t in target) in images:
+            x = solve_mod(matrix, target, d)
+            assert len(x) == k
+            assert _annihilates([*x, 1], [*matrix, [-t for t in target]], d), (d, matrix, x)
+            solved += 1
+        else:
+            with pytest.raises(ValueError, match="no solution"):
+                solve_mod(matrix, target, d)
+            unsolvable += 1
+    assert solved >= 150 and unsolvable >= 30
 
 
 def test_integer_determinant():

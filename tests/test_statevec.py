@@ -259,6 +259,8 @@ def test_state_from_group_is_flat_on_a_support_of_the_x_span_order():
         size = span_order_mod([list(gen.x_exp) for gen in g.generators], g.dimension)
         assert len(support) == size
         assert np.abs(np.abs(amps[support]) - size**-0.5).max() <= 1e-15
+        # global phase: the first support index carries lam**0
+        assert amps[support[0]].imag == 0 < amps[support[0]].real
 
 
 def test_state_from_group_budget_comes_before_any_allocation(monkeypatch):
