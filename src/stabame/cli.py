@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import ame, nogo, search, statevec
-from .errors import BudgetExceededError, FactsError, PhaseConventionError
+from .errors import BudgetExceededError, FactsError
 from .pauli import format_pauli
 from .stabgroup import (
     StabilizerGroup,
@@ -194,14 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        FactsError,
-        BudgetExceededError,
-        PhaseConventionError,
-        RuntimeError,
-    ) as exc:
+    except (ValueError, OSError, FactsError, BudgetExceededError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

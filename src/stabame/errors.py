@@ -5,14 +5,5 @@ class BudgetExceededError(RuntimeError):
     """A configured size budget (dense, enumeration, or search) would be exceeded."""
 
 
-class PhaseConventionError(RuntimeError):
-    """A phase exponent failed to map consistently between Pauli groups.
-
-    Raised when a per-element phase cannot be expressed in the target group's
-    phase ring. This signals a convention bug somewhere upstream, not a
-    mathematical impossibility of the input.
-    """
-
-
 class FactsError(ValueError):
     """A facts file is malformed or contains contradictory entries."""

@@ -1,4 +1,4 @@
-"""Stabilizer groups over Z_D: validation, Sylow components, the generator file format.
+"""Stabilizer groups over Z_D: validation, prime-power factor groups, the generator file format.
 
 A generator list claims to stabilize a unique state when the generated group
 is abelian, phase-consistent (no lam**g * identity with g != 0 in the group),
@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Sequence
 
 from . import ring
-from .errors import PhaseConventionError
 from .pauli import (
     PauliProduct,
     format_pauli,
@@ -71,7 +70,8 @@ def generator_product(g: StabilizerGroup, coeffs: Sequence[int]) -> PauliProduct
     """The group element prod_j gen_j**c_j, multiplied in generator order."""
     elem = PauliProduct.identity(g.dimension, g.parties)
     for gen, coeff in zip(g.generators, coeffs):
-        elem = multiply(elem, power(gen, coeff))
+        if coeff:  # gen**0 is the identity, an exact no-op factor
+            elem = multiply(elem, power(gen, coeff))
     return elem
 
 
@@ -124,48 +124,39 @@ def _check_validity(g: StabilizerGroup) -> ValidityReport:
     return ValidityReport(abelian, order, phase_consistent, phase_consistent and full)
 
 
-def sylow_component(
+def factor_group(
     g: StabilizerGroup, f: ring.PrimePowerFactorization, i: int
 ) -> StabilizerGroup:
-    """Project a valid group onto its q_i-primary part by raising generators to m_i.
+    """The q_i-factor of a group over Z_D, as a generator list over Z_{q_i}.
 
-    m_i is the CRT idempotent, so gen**m_i keeps the q_i-part of each
-    generator and kills the rest; the resulting exponents are all divisible
-    by D / q_i, and for a stabilizer-state group the component has order q_i**n.
+    With t = D / q_i, u = t**-1 mod q_i and the CRT idempotent m = t * u,
+    gen**m is the q_i-part of gen, and its exponents and phase are all
+    multiples of t. Dividing t out, lam**g X**x Z**z maps to
+    lam_q**(u * (g - (m - 1) * z.x)) X**x Z**(u * z), exponents mod q_i and
+    phase mod 2 q_i; under the CRT relabeling this is the factor-i block of
+    gen**m. For a stabilizer-state group the image has order q_i**n.
     """
     if f.dimension != g.dimension:
         raise ValueError("factorization dimension does not match the group")
-    m = ring.sylow_exponent(f, i)
-    return StabilizerGroup(g.dimension, g.parties, tuple(power(gen, m) for gen in g.generators))
-
-
-def project_pauli(p: PauliProduct, f: ring.PrimePowerFactorization, i: int) -> PauliProduct:
-    """Re-express a q_i-component element in the Pauli group over Z_{q_i}.
-
-    Under the CRT relabeling the factor-i part of the conjugated operator has
-    X exponent x mod q_i, Z exponent (z / t_i) mod q_i, and phase exponent
-    phase / t_i, where t_i = D / q_i. The x and z exponents (and the phase)
-    must be divisible by t_i; a phase that is not signals a convention bug.
-    """
-    if p.dimension != f.dimension:
-        raise ValueError("factorization dimension does not match the element")
     q = f.prime_powers[i]
     t = ring.cofactor_modulus(f, i)
-    for v in list(p.x_exp) + list(p.z_exp):
-        if v % t != 0:
-            raise ValueError(f"exponent {v} not divisible by {t}: not a q={q} component element")
-    if p.phase_exp % t != 0:
-        raise PhaseConventionError(
-            f"phase exponent {p.phase_exp} not divisible by {t} when projecting to q={q}"
-        )
-    x = tuple(v % q for v in p.x_exp)
-    z = tuple((v // t) % q for v in p.z_exp)
-    return PauliProduct(q, p.parties, (p.phase_exp // t) % (2 * q), x, z)
+    u = pow(t, -1, q)
+    m = t * u
+    gens = []
+    for gen in g.generators:
+        zx = sum(z * x for z, x in zip(gen.z_exp, gen.x_exp))
+        phase = u * (gen.phase_exp - (m - 1) * zx) % (2 * q)
+        x = tuple(v % q for v in gen.x_exp)
+        z = tuple(u * v % q for v in gen.z_exp)
+        gens.append(PauliProduct(q, g.parties, phase, x, z))
+    return StabilizerGroup(q, g.parties, tuple(gens))
 
 
 def embed_pauli(p: PauliProduct, f: ring.PrimePowerFactorization, i: int) -> PauliProduct:
-    """Inverse of :func:`project_pauli`: lift an element over Z_{q_i} into the
-    q_i-component of the Pauli group over Z_D."""
+    """Lift an element over Z_{q_i} into the q_i-component of the Pauli group
+    over Z_D: X exponents times the CRT idempotent m_i, Z exponents and the
+    phase times t_i = D / q_i. Dividing t_i back out of the Z exponents and
+    the phase, and reducing X mod q_i, recovers the element."""
     q = f.prime_powers[i]
     if p.dimension != q:
         raise ValueError(f"element dimension {p.dimension} is not factor {i} (q={q})")
@@ -175,14 +166,6 @@ def embed_pauli(p: PauliProduct, f: ring.PrimePowerFactorization, i: int) -> Pau
     x = tuple((m * v) % d for v in p.x_exp)
     z = tuple(t * v for v in p.z_exp)
     return PauliProduct(d, p.parties, t * p.phase_exp, x, z)
-
-
-def project_to_factor(
-    g: StabilizerGroup, f: ring.PrimePowerFactorization, i: int
-) -> StabilizerGroup:
-    """Map a q_i-component group over Z_D to a stabilizer group over Z_{q_i}."""
-    gens = tuple(project_pauli(gen, f, i) for gen in g.generators)
-    return StabilizerGroup(f.prime_powers[i], g.parties, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ The reference Pauli matrices here are built straight from the defining sums
 the column-by-column realization below, so the two check each other and the
 group arithmetic. The helpers at the end (dense matrices, single-site
 elements, basis states, local unitaries, CRT recombination and coefficients,
-the scalar candidate decoder) have no caller in the package.
+the two-step Sylow-then-project factor map, the scalar candidate decoder)
+have no caller in the package.
 """
 
 import math
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from stabame.errors import BudgetExceededError
-from stabame.pauli import PauliProduct, make_pauli, multiply
+from stabame.pauli import PauliProduct, make_pauli, multiply, power
 from stabame.ring import PrimePowerFactorization, cofactor_modulus, sylow_exponent
 from stabame.search import GraphState, graph_to_group, num_edge_slots
 from stabame.stabgroup import StabilizerGroup, generator_product
@@ -269,6 +270,39 @@ def crt_coefficients(f: PrimePowerFactorization) -> tuple[int, ...]:
     return tuple(
         (sylow_exponent(f, i) // cofactor_modulus(f, i)) % q for i, q in enumerate(f.prime_powers)
     )
+
+
+def sylow_component(
+    g: StabilizerGroup, f: PrimePowerFactorization, i: int
+) -> StabilizerGroup:
+    """The q_i-primary part of a group over Z_D: every generator raised to the
+    CRT idempotent m_i, which keeps its q_i-part and kills the rest."""
+    m = sylow_exponent(f, i)
+    return StabilizerGroup(g.dimension, g.parties, tuple(power(gen, m) for gen in g.generators))
+
+
+def project_pauli(p: PauliProduct, f: PrimePowerFactorization, i: int) -> PauliProduct:
+    """Re-express a q_i-component element over Z_{q_i}: X exponent x mod q_i,
+    Z exponent and phase divided by t_i = D / q_i. Refuses an element whose
+    exponents or phase are not multiples of t_i, so a wrong component never
+    passes through a silent floor division."""
+    q = f.prime_powers[i]
+    t = cofactor_modulus(f, i)
+    for v in list(p.x_exp) + list(p.z_exp) + [p.phase_exp]:
+        if v % t != 0:
+            raise ValueError(f"exponent {v} not divisible by {t}: not a q={q} component element")
+    x = tuple(v % q for v in p.x_exp)
+    z = tuple((v // t) % q for v in p.z_exp)
+    return PauliProduct(q, p.parties, (p.phase_exp // t) % (2 * q), x, z)
+
+
+def sylow_then_project(
+    g: StabilizerGroup, f: PrimePowerFactorization, i: int
+) -> StabilizerGroup:
+    """Reference for :func:`stabame.stabgroup.factor_group`: the Sylow
+    component of ``g``, then each of its generators projected over Z_{q_i}."""
+    gens = tuple(project_pauli(gen, f, i) for gen in sylow_component(g, f, i).generators)
+    return StabilizerGroup(f.prime_powers[i], g.parties, gens)
 
 
 def graph_from_index(dimension: int, parties: int, index: int) -> GraphState:

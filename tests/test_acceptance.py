@@ -19,7 +19,7 @@ from conftest import (
     random_pauli,
 )
 from snf import integer_determinant, matrix_multiply, smith_normal_form
-from stabame.ame import decompose, merge_factors, reduce_ame, verify_ame_symbolic
+from stabame.ame import crt_unitary, decompose, merge_factors, reduce_ame, verify_ame_symbolic
 from stabame.cli import main as cli_main
 from stabame.errors import FactsError
 from stabame.nogo import default_facts, load_facts, propagate
@@ -60,7 +60,7 @@ def test_criterion_1_ghz6_decomposition_pipeline(tmp_path):
         rep = validate(fg)
         assert rep.stabilizes_unique_state
         assert rep.order == want_order
-    relabeled = permute_levels(state_from_group(group), dec.crt_permutation)
+    relabeled = permute_levels(state_from_group(group), crt_unitary(dec.factorization))
     combined = tensor(list(dec.factor_states))
     overlap = abs(np.vdot(combined.amplitudes, relabeled.amplitudes))
     assert overlap > 1 - 1e-9

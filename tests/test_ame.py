@@ -289,7 +289,7 @@ def test_decompose_ghz6():
         assert report.stabilizes_unique_state
         assert report.order == want_order
     # dense contract, re-checked here explicitly
-    relabeled = permute_levels(state_from_group(ghz_group(6, 3)), dec.crt_permutation)
+    relabeled = permute_levels(state_from_group(ghz_group(6, 3)), crt_unitary(dec.factorization))
     combined = tensor(list(dec.factor_states))
     assert states_equal(relabeled, combined)
 
@@ -299,7 +299,7 @@ def test_decompose_prime_dimension_single_factor():
     dec = decompose(g)
     assert len(dec.factor_groups) == 1
     assert dec.factor_groups[0] == g
-    assert dec.crt_permutation == tuple(range(5))
+    assert crt_unitary(dec.factorization) == tuple(range(5))
     assert states_equal(dec.factor_states[0], state_from_group(g))
 
 
@@ -319,6 +319,37 @@ def test_decompose_without_dense():
     dec = decompose(ghz_group(6, 3), dense_budget=215)
     assert dec.factor_states is None
     assert decompose(ghz_group(6, 3), dense_budget=216).factor_states is not None
+
+
+def test_decompose_builds_the_crt_relabeling_only_for_the_dense_check(monkeypatch):
+    from stabame import ame
+
+    calls = []
+    real = ame.crt_unitary
+    monkeypatch.setattr(ame, "crt_unitary", lambda f: calls.append(f.dimension) or real(f))
+    decompose(ghz_group(6, 3), dense_budget=215)
+    assert calls == []
+    decompose(ghz_group(6, 3), dense_budget=216)
+    assert calls == [6]
+    # a D-entry relabeling at D = 2 * 1000003 is never built for a Bell pair
+    # whose D**2 amplitudes are far over the budget
+    calls.clear()
+    dec = decompose(bell_group(2 * 1000003))
+    assert calls == [] and dec.factor_states is None
+    assert [fg.dimension for fg in dec.factor_groups] == [2, 1000003]
+
+
+def test_merge_factors_is_exact_past_int64():
+    # 2**62 * 9 overflows int64; the merged group must be over exactly that D
+    dim = 2**62 * 9
+    g = bell_group(dim)
+    dec = decompose(g)
+    assert dec.factorization.prime_powers == (2**62, 9) and dec.factor_states is None
+    merged = merge_factors(dec, [0, 1])
+    assert merged.state is None
+    assert merged.group.dimension == dim
+    assert validate(merged.group).stabilizes_unique_state
+    assert verify_ame_symbolic(merged.group).is_ame
 
 
 def test_reduce_ame_bell6():

@@ -1,8 +1,9 @@
-"""Every public function and method of the package has a caller in the package.
+"""Every public function, method and class of the package is read in the package.
 
-Code that only the tests call belongs in ``tests/`` (see ``conftest.py``).
-A name counts as used when it is read somewhere in ``src/`` as a name or an
-attribute; being imported or defined does not count.
+Code that only the tests call belongs in ``tests/`` (see ``conftest.py``),
+and an exception or record type that nothing raises, catches or builds is
+dead. A name counts as used when it is read somewhere in ``src/`` as a name
+or an attribute; being imported or defined does not count.
 """
 
 import ast
@@ -16,21 +17,29 @@ KEPT = {"merge_factors", "parse_witness_line", "parse_table_csv"}
 
 
 def _definitions_and_uses(root: Path):
-    defined, used = {}, set()
+    functions, classes, used = {}, {}, set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
+                    defined = classes if isinstance(node, ast.ClassDef) else functions
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return defined, used
+    return functions, classes, used
 
 
 def test_every_public_function_has_a_caller_in_the_package():
-    defined, used = _definitions_and_uses(Path(stabame.__file__).parent)
-    assert KEPT <= defined.keys()
-    unused = {name: where for name, where in defined.items() if name not in used | KEPT}
+    functions, _, used = _definitions_and_uses(Path(stabame.__file__).parent)
+    assert KEPT <= functions.keys()
+    unused = {name: where for name, where in functions.items() if name not in used | KEPT}
+    assert unused == {}
+
+
+def test_every_public_class_is_read_in_the_package():
+    _, classes, used = _definitions_and_uses(Path(stabame.__file__).parent)
+    assert {"StabilizerGroup", "BudgetExceededError"} <= classes.keys()
+    unused = {name: where for name, where in classes.items() if name not in used}
     assert unused == {}

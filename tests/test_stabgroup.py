@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
 
-from conftest import dense_matrix, random_graph_group, random_pauli, single_site
+from conftest import (
+    dense_matrix,
+    project_pauli,
+    random_graph_group,
+    random_pauli,
+    single_site,
+    sylow_component,
+    sylow_then_project,
+    unimodular_mix,
+)
 from enumeration import enumerate_elements
-from stabame.errors import PhaseConventionError
-from stabame.pauli import PauliProduct, make_pauli, multiply, symplectic_inner
-from stabame.ring import factorize
+from stabame import stabgroup
+from stabame.pauli import PauliProduct, make_pauli, multiply, power, symplectic_inner
+from stabame.ring import factorize, sylow_exponent
 from stabame.stabgroup import (
     StabilizerGroup,
     bell_group,
     embed_pauli,
+    factor_group,
     format_generator_file,
+    generator_product,
     ghz_group,
     parse_generator_file,
-    project_pauli,
-    project_to_factor,
-    sylow_component,
     validate,
 )
 
@@ -225,10 +233,12 @@ def test_project_pauli_identity_and_x_cubed():
 
 
 def test_project_pauli_divisibility_and_phase_errors():
+    # the reference refuses what is not a component element rather than
+    # floor-dividing it
     f = factorize(6)
     with pytest.raises(ValueError):
         project_pauli(make_pauli(6, 1, 0, [2], None), f, 0)  # x=2 not divisible by 3
-    with pytest.raises(PhaseConventionError):
+    with pytest.raises(ValueError):
         project_pauli(make_pauli(6, 1, 1, [3], None), f, 0)  # phase 1 not divisible by 3
 
 
@@ -267,14 +277,85 @@ def test_project_pauli_embedding_contract(dim, site_x, site_z, phase):
     assert np.abs(block - dense_matrix(projected)).max() < 1e-12
 
 
+@pytest.mark.parametrize("dim", [6, 10, 12, 30])
+def test_factor_group_is_the_factor_block_of_the_relabeled_sylow_part(dim):
+    # for any element over Z_D (not only component elements, arbitrary phase),
+    # the factor-i block of the CRT-relabeled gen**m_i is factor_group's image
+    rng = np.random.default_rng(113 + dim)
+    f = factorize(dim)
+    for i in range(f.num_factors):
+        for _ in range(5):
+            p = random_pauli(rng, dim, 1)
+            image = factor_group(StabilizerGroup(dim, 1, (p,)), f, i).generators[0]
+            block = _embedded_sector_matrix(power(p, sylow_exponent(f, i)), f, i)
+            assert np.abs(block - dense_matrix(image)).max() < 1e-12
+
+
 def test_project_to_factor_ghz6_q3():
+    # q = 3, t = 2, u = 2**-1 mod 3 = 2: X exponents mod 3, Z exponents times 2
     g = ghz_group(6, 3)
     f = factorize(6)
-    factor = project_to_factor(sylow_component(g, f, 1), f, 1)
-    assert factor.dimension == 3
+    factor = factor_group(g, f, 1)
+    assert factor.generators == (
+        make_pauli(3, 3, 0, [1, 1, 1], None),
+        make_pauli(3, 3, 0, None, [2, 1, 0]),
+        make_pauli(3, 3, 0, None, [0, 2, 1]),
+    )
+    assert factor == sylow_then_project(g, f, 1)
     report = validate(factor)
     assert report.stabilizes_unique_state
     assert report.order == 27
+
+
+def test_factor_group_matches_the_two_step_reference_sweep():
+    # every factor of D = 2..60, on valid groups (graph and GHZ groups on
+    # two or three qudits, generators mixed by a unimodular matrix, so phases
+    # and z.x are nontrivial) and on arbitrary lists of one to three
+    # generators with arbitrary phases on one or two qudits
+    rng = np.random.default_rng(127)
+    valid = invalid = 0
+    for dim in range(2, 61):
+        f = factorize(dim)
+        groups = []
+        for _ in range(3):
+            n = int(rng.integers(2, 4))
+            groups.append(unimodular_mix(rng, random_graph_group(rng, dim, n)))
+            groups.append(_random_generator_list(rng, dim, n - 1, abelian=False))
+        groups.append(unimodular_mix(rng, ghz_group(dim, int(rng.integers(2, 4)))))
+        for g in groups:
+            is_valid = validate(g).stabilizes_unique_state
+            valid += is_valid
+            invalid += not is_valid
+            for i, q in enumerate(f.prime_powers):
+                image = factor_group(g, f, i)
+                assert image == sylow_then_project(g, f, i), (g, i)
+                if is_valid:
+                    report = validate(image)
+                    assert report.stabilizes_unique_state and report.order == q**g.parties
+    assert valid > 200 and invalid > 100
+
+
+def test_factor_group_rejects_a_foreign_factorization():
+    with pytest.raises(ValueError):
+        factor_group(ghz_group(6, 2), factorize(12), 0)
+
+
+def test_generator_product_skips_zero_coefficients(monkeypatch):
+    rng = np.random.default_rng(131)
+    calls = []
+    real = stabgroup.power
+    monkeypatch.setattr(stabgroup, "power", lambda p, k: calls.append(k) or real(p, k))
+    for dim, n in ((2, 16), (6, 3), (12, 4)):
+        g = unimodular_mix(rng, ghz_group(dim, n))
+        for _ in range(20):
+            coeffs = [int(c) * int(rng.random() < 0.4) for c in rng.integers(0, 2 * dim, n)]
+            calls.clear()
+            product = generator_product(g, coeffs)
+            assert len(calls) == sum(1 for c in coeffs if c) and 0 not in calls
+            full = PauliProduct.identity(dim, n)
+            for gen, c in zip(g.generators, coeffs):
+                full = multiply(full, real(gen, c))
+            assert product == full
 
 
 def test_embed_pauli_roundtrip():
