@@ -24,8 +24,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from . import ring
 # multiply stays bound here: perfbench/selftest.py checks the tracer patches ame.multiply.
 from .pauli import multiply  # noqa: F401
@@ -41,7 +39,6 @@ from .stabgroup import (
 from .statevec import (
     DEFAULT_DENSE_BUDGET,
     AmeVerdict,
-    DenseState,
     check_tolerance,
     fidelity,
     permute_levels,
@@ -53,11 +50,10 @@ from .statevec import (
 
 @dataclass
 class FactorDecomposition:
-    """Per-prime-power stabilizer groups (and optionally states) of a composite-D group."""
+    """Per-prime-power stabilizer groups of a composite-D group."""
 
     factorization: ring.PrimePowerFactorization
     factor_groups: tuple[StabilizerGroup, ...]
-    factor_states: tuple[DenseState, ...] | None
 
 
 def crt_unitary(f: ring.PrimePowerFactorization) -> tuple[int, ...]:
@@ -70,11 +66,7 @@ def crt_unitary(f: ring.PrimePowerFactorization) -> tuple[int, ...]:
     """
     qs = f.prime_powers
     weights = [math.prod(qs[i + 1 :]) for i in range(len(qs))]
-    perm = []
-    for j in range(f.dimension):
-        digits = ring.crt_split(j, f)
-        perm.append(sum(dig * w for dig, w in zip(digits, weights)))
-    return tuple(perm)
+    return tuple(sum(j % q * w for q, w in zip(qs, weights)) for j in range(f.dimension))
 
 
 def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
@@ -166,32 +158,30 @@ def decompose(
     """Split a stabilizer group over composite D into prime-power factor groups.
 
     Each factor group is the closed-form image of the generators
-    (:func:`~stabame.stabgroup.factor_group`). Only when D**n fits
-    ``dense_budget`` are the factor states synthesized and the CRT relabeling
-    built, and the tensor of the factors is checked against the relabeled
-    original state with fidelity > 1 - 1e-9; a violation raises.
+    (:func:`~stabame.stabgroup.factor_group`, once per prime power). Only
+    when D**n fits ``dense_budget`` are the factor states synthesized and the
+    CRT relabeling built, and the tensor of the factors is checked against
+    the relabeled original state with fidelity > 1 - 1e-9; a violation raises.
     """
     report = validate(g)
     if not report.stabilizes_unique_state:
         raise ValueError("group does not stabilize a unique state")
     f = ring.factorize(g.dimension)
-    factor_groups = tuple(factor_group(g, f, i) for i in range(f.num_factors))
+    factor_groups = tuple(factor_group(g, q) for q in f.prime_powers)
 
-    factor_states = None
     if g.dimension**g.parties <= dense_budget:
-        factor_states = tuple(
-            state_from_group(fg, dense_budget=dense_budget) for fg in factor_groups
-        )
         original = state_from_group(g, dense_budget=dense_budget)
         relabeled = permute_levels(original, crt_unitary(f))
-        combined = tensor(list(factor_states))
+        combined = tensor(
+            [state_from_group(fg, dense_budget=dense_budget) for fg in factor_groups]
+        )
         overlap = fidelity(combined, relabeled)
         if overlap <= 1.0 - 1e-9:
             raise RuntimeError(
                 f"factor states do not reassemble the relabeled input (fidelity {overlap:.12f}); "
                 "this indicates a bug"
             )
-    return FactorDecomposition(f, factor_groups, factor_states)
+    return FactorDecomposition(f, factor_groups)
 
 
 def reduce_ame(g: StabilizerGroup, dec: FactorDecomposition) -> list[AmeVerdict]:
@@ -212,52 +202,35 @@ def reduce_ame(g: StabilizerGroup, dec: FactorDecomposition) -> list[AmeVerdict]
     return verdicts
 
 
-@dataclass
-class MergeResult:
-    group: StabilizerGroup
-    state: DenseState | None
+def merge_factors(groups: Sequence[StabilizerGroup]) -> StabilizerGroup:
+    """Merge groups on the same parties over pairwise coprime dimensions.
 
-
-def merge_factors(dec: FactorDecomposition, subset: Sequence[int]) -> MergeResult:
-    """Recombine a nonempty subset of factors into a group over the product dimension.
-
-    The merged group is the image of the chosen factor groups under the
-    inverse CRT relabeling for d_M = prod of the chosen prime powers. If every
-    chosen factor is AME the merge must be AME too (checked; a violation
-    raises as an internal inconsistency).
+    Every generator is lifted into the Pauli group over D = the product of
+    the dimensions (:func:`~stabame.stabgroup.embed_pauli`); under the
+    inverse CRT relabeling the merged state is the tensor of the inputs'
+    states. The inputs may be the factors of one decomposition or witnesses
+    found apart, say an AME(5,2) and an AME(5,3) group. If every input is AME
+    the merge must be AME too (checked; a violation raises as an internal
+    inconsistency).
     """
-    chosen = tuple(sorted(set(int(i) for i in subset)))
-    if not chosen:
-        raise ValueError("subset of factors must be nonempty")
-    m = dec.factorization.num_factors
-    if any(i < 0 or i >= m for i in chosen):
-        raise ValueError(f"factor indices out of range 0..{m - 1}")
-
-    qs = [dec.factorization.prime_powers[i] for i in chosen]
-    d_merged = math.prod(qs)
-    f_merged = ring.factorize(d_merged)
-    parties = dec.factor_groups[0].parties
-
-    gens = []
-    for pos, i in enumerate(chosen):
-        for gen in dec.factor_groups[i].generators:
-            gens.append(embed_pauli(gen, f_merged, pos))
-    group = StabilizerGroup(d_merged, parties, tuple(gens))
-
-    state = None
-    if dec.factor_states is not None:
-        combined = tensor([dec.factor_states[i] for i in chosen])
-        state = permute_levels(combined, np.argsort(crt_unitary(f_merged)))
-
-    factor_verdicts = [verify_ame_symbolic(dec.factor_groups[i]) for i in chosen]
-    if all(v.is_ame for v in factor_verdicts):
-        merged_verdict = verify_ame_symbolic(group)
-        if not merged_verdict.is_ame:
+    if not groups:
+        raise ValueError("need at least one group to merge")
+    dims = [fg.dimension for fg in groups]
+    if math.lcm(*dims) != math.prod(dims):
+        raise ValueError(f"dimensions {dims} are not pairwise coprime")
+    parties = groups[0].parties
+    if any(fg.parties != parties for fg in groups):
+        raise ValueError("groups to merge act on different numbers of parties")
+    d = math.prod(dims)
+    gens = tuple(embed_pauli(gen, d) for fg in groups for gen in fg.generators)
+    merged = StabilizerGroup(d, parties, gens)
+    if all(verify_ame_symbolic(fg).is_ame for fg in groups):
+        if not verify_ame_symbolic(merged).is_ame:
             raise RuntimeError(
                 "merge of AME factors is not AME; this contradicts the prime-power "
                 "reduction property and indicates an implementation bug"
             )
-    return MergeResult(group, state)
+    return merged
 
 
 def format_decomposition_report(

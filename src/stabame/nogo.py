@@ -81,7 +81,7 @@ def load_facts(text: str) -> list[KnownFact]:
         source = parts[3] if len(parts) > 3 else ""
         try:
             fact = KnownFact(parties, local_dim, status, source)
-        except FactsError as exc:
+        except ValueError as exc:  # a FactsError, or a dimension factorize refuses
             raise FactsError(f"line {lineno}: {exc}") from exc
         key = (parties, local_dim)
         if key in seen and seen[key].negative != fact.negative:

@@ -8,9 +8,13 @@ then diagonalizes what is left. The relations among generators that group
 validation and witnesses need come from the one diagonalization carrying its
 left transform, with no unit shortcut, since those relations choose the
 printed witness; a linear system mod D is solved from those relations too.
-The rest is the Chinese-remainder splitting of composite local dimensions
-and the Sylow idempotents used to pull prime-power components out of abelian
-Pauli subgroups.
+
+Factorization is bounded: trial division runs only below
+``TRIAL_DIVISION_BOUND`` (2**20), and a cofactor left past it is accepted
+only as a prime, or a power of a prime, that a deterministic Miller-Rabin
+test certifies (bases: the first 13 primes, exact below
+``MILLER_RABIN_EXACT_BELOW``, about 3.3e24). Any other dimension is refused
+with a ValueError rather than factored at unbounded cost.
 """
 
 from __future__ import annotations
@@ -54,18 +58,25 @@ class PrimePowerFactorization:
         return tuple(q for _, _, q in self.factors)
 
 
-def factorize(dimension: int) -> PrimePowerFactorization:
-    """Prime-power factorization of ``dimension`` by trial division.
+TRIAL_DIVISION_BOUND = 1 << 20
+# Miller-Rabin to these bases decides primality exactly below the bound
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
-    Inputs are small (local dimensions of qudit systems), so trial division
-    is ample; rejects dimension < 2.
+
+def factorize(dimension: int) -> PrimePowerFactorization:
+    """Prime-power factorization of ``dimension``; rejects dimension < 2.
+
+    Trial division stops at ``TRIAL_DIVISION_BOUND``; a cofactor left past it
+    must be a certified prime or a power of one, else ValueError.
     """
     if dimension < 2:
         raise ValueError(f"dimension must be >= 2, got {dimension}")
     rest = dimension
     factors = []
     p = 2
-    while p * p <= rest:
+    while p * p <= rest and p < TRIAL_DIVISION_BOUND:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -74,35 +85,46 @@ def factorize(dimension: int) -> PrimePowerFactorization:
             factors.append((p, e, p**e))
         p += 1 if p == 2 else 2
     if rest > 1:
-        factors.append((rest, 1, rest))
+        prime, e = (rest, 1) if p * p > rest else _certified_prime_power(rest, dimension)
+        factors.append((prime, e, rest))
     return PrimePowerFactorization(dimension, tuple(factors))
 
 
-def crt_split(residue: int, f: PrimePowerFactorization) -> tuple[int, ...]:
-    """Map a residue mod D to its tuple of residues mod each prime power q_i."""
-    if not 0 <= residue < f.dimension:
-        raise ValueError(f"residue {residue} out of range [0, {f.dimension})")
-    return tuple(residue % q for q in f.prime_powers)
+def _certified_prime_power(rest: int, dimension: int) -> tuple[int, int]:
+    """(r, k) with rest = r**k and r a certified prime. Every prime factor of
+    ``rest`` is past ``TRIAL_DIVISION_BOUND`` = 2**20, so k <= bit_length / 20."""
+    for k in range(1, rest.bit_length() // 20 + 1):
+        r = _integer_root(rest, k)
+        if r**k == rest and _is_certified_prime(r):
+            return r, k
+    raise ValueError(
+        f"cannot factor dimension {dimension}: a factor past {TRIAL_DIVISION_BOUND} "
+        "is neither a certified prime nor a power of one"
+    )
 
 
-def sylow_exponent(f: PrimePowerFactorization, i: int) -> int:
-    """CRT idempotent m_i: m_i = 1 (mod q_i) and m_i = 0 (mod q_j) for j != i.
-
-    Raising a group element of order dividing D to the power m_i projects it
-    onto its q_i-primary (Sylow) part.
-    """
-    if not 0 <= i < f.num_factors:
-        raise ValueError(f"factor index {i} out of range")
-    q = f.prime_powers[i]
-    t = f.dimension // q
-    return (t * pow(t, -1, q)) % f.dimension
+def _integer_root(n: int, k: int) -> int:
+    """The largest r with r**k <= n, for n >= 1, by integer Newton steps from
+    above (floats overflow past 1e308)."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
-def cofactor_modulus(f: PrimePowerFactorization, i: int) -> int:
-    """t_i = D / q_i, the product of all other prime powers."""
-    if not 0 <= i < f.num_factors:
-        raise ValueError(f"factor index {i} out of range")
-    return f.dimension // f.prime_powers[i]
+def _is_certified_prime(n: int) -> bool:
+    """Strong probable prime to every base, for odd n > 41 below the exact
+    bound: a**d = 1 or a**(2**i * d) = -1 (mod n) for some i < s, where
+    n - 1 = 2**s * d with d odd."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return n < MILLER_RABIN_EXACT_BELOW and all(
+        pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+        for a in MILLER_RABIN_BASES
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Stabilizer groups over Z_D: validation, prime-power factor groups, the generator file format.
+"""Stabilizer groups over Z_D: validation, CRT factor groups, the generator file format.
 
 A generator list claims to stabilize a unique state when the generated group
 is abelian, phase-consistent (no lam**g * identity with g != 0 in the group),
@@ -10,6 +10,7 @@ relations and on each gen**D, so no group is ever listed element by element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -124,23 +125,26 @@ def _check_validity(g: StabilizerGroup) -> ValidityReport:
     return ValidityReport(abelian, order, phase_consistent, phase_consistent and full)
 
 
-def factor_group(
-    g: StabilizerGroup, f: ring.PrimePowerFactorization, i: int
-) -> StabilizerGroup:
-    """The q_i-factor of a group over Z_D, as a generator list over Z_{q_i}.
+def _crt_cofactor(q: int, d: int) -> tuple[int, int]:
+    """(t, u) with t = d / q and u = t**-1 mod q, for a factor q of d prime to d / q."""
+    if q < 2 or d % q or math.gcd(q, d // q) != 1:
+        raise ValueError(f"{q} is not a factor of {d} coprime to its cofactor")
+    t = d // q
+    return t, pow(t, -1, q)
 
-    With t = D / q_i, u = t**-1 mod q_i and the CRT idempotent m = t * u,
-    gen**m is the q_i-part of gen, and its exponents and phase are all
-    multiples of t. Dividing t out, lam**g X**x Z**z maps to
-    lam_q**(u * (g - (m - 1) * z.x)) X**x Z**(u * z), exponents mod q_i and
-    phase mod 2 q_i; under the CRT relabeling this is the factor-i block of
-    gen**m. For a stabilizer-state group the image has order q_i**n.
+
+def factor_group(g: StabilizerGroup, q: int) -> StabilizerGroup:
+    """The q-factor of a group over Z_D, as a generator list over Z_q.
+
+    q is any factor of D prime to D / q: a prime power, or the product of
+    a subset of them. With t = D / q, u = t**-1 mod q and the CRT idempotent
+    m = t * u, gen**m is the q-part of gen, and its exponents and phase are
+    all multiples of t. Dividing t out, lam**g X**x Z**z maps to
+    lam_q**(u * (g - (m - 1) * z.x)) X**x Z**(u * z), exponents mod q and
+    phase mod 2 q; under the CRT relabeling this is the q block of gen**m.
+    For a stabilizer-state group the image has order q**n.
     """
-    if f.dimension != g.dimension:
-        raise ValueError("factorization dimension does not match the group")
-    q = f.prime_powers[i]
-    t = ring.cofactor_modulus(f, i)
-    u = pow(t, -1, q)
+    t, u = _crt_cofactor(q, g.dimension)
     m = t * u
     gens = []
     for gen in g.generators:
@@ -152,18 +156,13 @@ def factor_group(
     return StabilizerGroup(q, g.parties, tuple(gens))
 
 
-def embed_pauli(p: PauliProduct, f: ring.PrimePowerFactorization, i: int) -> PauliProduct:
-    """Lift an element over Z_{q_i} into the q_i-component of the Pauli group
-    over Z_D: X exponents times the CRT idempotent m_i, Z exponents and the
-    phase times t_i = D / q_i. Dividing t_i back out of the Z exponents and
-    the phase, and reducing X mod q_i, recovers the element."""
-    q = f.prime_powers[i]
-    if p.dimension != q:
-        raise ValueError(f"element dimension {p.dimension} is not factor {i} (q={q})")
-    d = f.dimension
-    t = ring.cofactor_modulus(f, i)
-    m = ring.sylow_exponent(f, i)
-    x = tuple((m * v) % d for v in p.x_exp)
+def embed_pauli(p: PauliProduct, d: int) -> PauliProduct:
+    """Lift an element over Z_q, q = ``p.dimension``, into the q-component of
+    the Pauli group over Z_d: X exponents times the CRT idempotent m = t * u,
+    Z exponents and the phase times t = d / q. Dividing t back out of the Z
+    exponents and the phase, and reducing X mod q, recovers the element."""
+    t, u = _crt_cofactor(p.dimension, d)
+    x = tuple(t * u * v % d for v in p.x_exp)
     z = tuple(t * v for v in p.z_exp)
     return PauliProduct(d, p.parties, t * p.phase_exp, x, z)
 

@@ -58,9 +58,8 @@ class DenseState:
 
 @dataclass
 class ReducedDensity:
-    """Reduced density operator on a sorted subset of parties (0-based indices)."""
+    """Reduced density operator on a subset of parties, in increasing party order."""
 
-    subset: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -195,7 +194,7 @@ def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
     comp = tuple(k for k in range(n) if k not in sub)
     d = state.dimension
     table = state.amplitudes.reshape((d,) * n).transpose(sub + comp).reshape(d ** len(sub), -1)
-    return ReducedDensity(sub, table @ table.conj().T)
+    return ReducedDensity(table @ table.conj().T)
 
 
 def check_tolerance(tol: float) -> None:

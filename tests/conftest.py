@@ -4,9 +4,10 @@ The reference Pauli matrices here are built straight from the defining sums
 (literal loops, numpy matrix powers, kron) and never touch :func:`dense_matrix`,
 the column-by-column realization below, so the two check each other and the
 group arithmetic. The helpers at the end (dense matrices, single-site
-elements, basis states, local unitaries, CRT recombination and coefficients,
-the two-step Sylow-then-project factor map, the scalar candidate decoder)
-have no caller in the package.
+elements, basis states, local unitaries, the CRT split, idempotents and
+cofactors with recombination and coefficients, the two-step
+Sylow-then-project factor map, the scalar candidate decoder) have no caller
+in the package.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from stabame.errors import BudgetExceededError
 from stabame.pauli import PauliProduct, make_pauli, multiply, power
-from stabame.ring import PrimePowerFactorization, cofactor_modulus, sylow_exponent
+from stabame.ring import PrimePowerFactorization
 from stabame.search import GraphState, graph_to_group, num_edge_slots
 from stabame.stabgroup import StabilizerGroup, generator_product
 from stabame.statevec import NORM_TOL, DenseState, fidelity
@@ -246,6 +247,30 @@ def apply_local_unitary(state: DenseState, unitaries: Sequence[np.ndarray]) -> D
         view = vec.reshape(d**k, d, d ** (n - 1 - k))
         vec = np.einsum("ab,ibj->iaj", u, view).reshape(-1)
     return DenseState(d, n, vec)
+
+
+def crt_split(residue: int, f: PrimePowerFactorization) -> tuple[int, ...]:
+    """Map a residue mod D to its tuple of residues mod each prime power q_i."""
+    if not 0 <= residue < f.dimension:
+        raise ValueError(f"residue {residue} out of range [0, {f.dimension})")
+    return tuple(residue % q for q in f.prime_powers)
+
+
+def sylow_exponent(f: PrimePowerFactorization, i: int) -> int:
+    """CRT idempotent m_i: m_i = 1 (mod q_i) and m_i = 0 (mod q_j) for j != i.
+
+    Raising a group element of order dividing D to the power m_i projects it
+    onto its q_i-primary (Sylow) part.
+    """
+    t = cofactor_modulus(f, i)
+    return (t * pow(t, -1, f.prime_powers[i])) % f.dimension
+
+
+def cofactor_modulus(f: PrimePowerFactorization, i: int) -> int:
+    """t_i = D / q_i, the product of all other prime powers."""
+    if not 0 <= i < f.num_factors:
+        raise ValueError(f"factor index {i} out of range")
+    return f.dimension // f.prime_powers[i]
 
 
 def crt_combine(residues: Sequence[int], f: PrimePowerFactorization) -> int:

@@ -13,10 +13,12 @@ import pytest
 from conftest import (
     apply_local_unitary,
     crt_combine,
+    crt_split,
     dense_matrix,
     haar_unitary,
     random_graph_group,
     random_pauli,
+    sylow_exponent,
 )
 from snf import integer_determinant, matrix_multiply, smith_normal_form
 from stabame.ame import crt_unitary, decompose, merge_factors, reduce_ame, verify_ame_symbolic
@@ -24,7 +26,7 @@ from stabame.cli import main as cli_main
 from stabame.errors import FactsError
 from stabame.nogo import default_facts, load_facts, propagate
 from stabame.pauli import multiply, symplectic_inner
-from stabame.ring import crt_split, factorize, sylow_exponent
+from stabame.ring import factorize
 from stabame.search import graph_to_group, search_ame
 from stabame.stabgroup import (
     bell_group,
@@ -61,7 +63,7 @@ def test_criterion_1_ghz6_decomposition_pipeline(tmp_path):
         assert rep.stabilizes_unique_state
         assert rep.order == want_order
     relabeled = permute_levels(state_from_group(group), crt_unitary(dec.factorization))
-    combined = tensor(list(dec.factor_states))
+    combined = tensor([state_from_group(fg) for fg in dec.factor_groups])
     overlap = abs(np.vdot(combined.amplitudes, relabeled.amplitudes))
     assert overlap > 1 - 1e-9
     elapsed = time.perf_counter() - started
@@ -77,8 +79,8 @@ def test_criterion_2_ame_preservation_under_reduction():
     verdicts = reduce_ame(group, dec)
     assert [v.is_ame for v in verdicts] == [True, True]
     for subset in ([0], [1], [0, 1]):
-        merged = merge_factors(dec, subset)
-        assert verify_ame_symbolic(merged.group).is_ame
+        merged = merge_factors([dec.factor_groups[i] for i in subset])
+        assert verify_ame_symbolic(merged).is_ame
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"reduction took {elapsed:.2f}s"
     _ok(2, "AME(2,6) factors and all subset merges are AME")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from stabame.stabgroup import (
     StabilizerGroup,
     bell_group,
     exponent_matrix,
+    factor_group,
     ghz_group,
     parse_generator_file,
     validate,
@@ -290,7 +293,7 @@ def test_decompose_ghz6():
         assert report.order == want_order
     # dense contract, re-checked here explicitly
     relabeled = permute_levels(state_from_group(ghz_group(6, 3)), crt_unitary(dec.factorization))
-    combined = tensor(list(dec.factor_states))
+    combined = tensor([state_from_group(fg) for fg in dec.factor_groups])
     assert states_equal(relabeled, combined)
 
 
@@ -300,7 +303,6 @@ def test_decompose_prime_dimension_single_factor():
     assert len(dec.factor_groups) == 1
     assert dec.factor_groups[0] == g
     assert crt_unitary(dec.factorization) == tuple(range(5))
-    assert states_equal(dec.factor_states[0], state_from_group(g))
 
 
 def test_decompose_bell6_factors_are_ame():
@@ -314,28 +316,39 @@ def test_decompose_rejects_invalid():
         decompose(StabilizerGroup(6, 2, (single_site(6, 2, 0, x=1),)))
 
 
-def test_decompose_without_dense():
-    # GHZ(3, 6) has 6**3 = 216 amplitudes: synthesized exactly when they fit the budget
-    dec = decompose(ghz_group(6, 3), dense_budget=215)
-    assert dec.factor_states is None
-    assert decompose(ghz_group(6, 3), dense_budget=216).factor_states is not None
-
-
-def test_decompose_builds_the_crt_relabeling_only_for_the_dense_check(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Count the calls ame makes to its binding ``name``, passing them through."""
     from stabame import ame
 
     calls = []
-    real = ame.crt_unitary
-    monkeypatch.setattr(ame, "crt_unitary", lambda f: calls.append(f.dimension) or real(f))
+    real = getattr(ame, name)
+    monkeypatch.setattr(ame, name, lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    return calls
+
+
+def test_decompose_without_dense(monkeypatch):
+    # GHZ(3, 6) has 6**3 = 216 amplitudes: the input and its m = 2 factor
+    # states are synthesized exactly when they fit the budget
+    calls = _count_calls(monkeypatch, "state_from_group")
     decompose(ghz_group(6, 3), dense_budget=215)
     assert calls == []
     decompose(ghz_group(6, 3), dense_budget=216)
-    assert calls == [6]
-    # a D-entry relabeling at D = 2 * 1000003 is never built for a Bell pair
-    # whose D**2 amplitudes are far over the budget
+    assert len(calls) == 2 + 1
+
+
+def test_decompose_builds_the_crt_relabeling_only_for_the_dense_check(monkeypatch):
+    calls = _count_calls(monkeypatch, "crt_unitary")
+    states = _count_calls(monkeypatch, "state_from_group")
+    decompose(ghz_group(6, 3), dense_budget=215)
+    assert calls == []
+    decompose(ghz_group(6, 3), dense_budget=216)
+    assert [f.dimension for f in calls] == [6]
+    # neither a D-entry relabeling nor any state at D = 2 * 1000003 is built
+    # for a Bell pair whose D**2 amplitudes are far over the budget
     calls.clear()
+    states.clear()
     dec = decompose(bell_group(2 * 1000003))
-    assert calls == [] and dec.factor_states is None
+    assert calls == [] and states == []
     assert [fg.dimension for fg in dec.factor_groups] == [2, 1000003]
 
 
@@ -344,12 +357,11 @@ def test_merge_factors_is_exact_past_int64():
     dim = 2**62 * 9
     g = bell_group(dim)
     dec = decompose(g)
-    assert dec.factorization.prime_powers == (2**62, 9) and dec.factor_states is None
-    merged = merge_factors(dec, [0, 1])
-    assert merged.state is None
-    assert merged.group.dimension == dim
-    assert validate(merged.group).stabilizes_unique_state
-    assert verify_ame_symbolic(merged.group).is_ame
+    assert dec.factorization.prime_powers == (2**62, 9)
+    merged = merge_factors(dec.factor_groups)
+    assert merged.dimension == dim
+    assert validate(merged).stabilizes_unique_state
+    assert verify_ame_symbolic(merged).is_ame
 
 
 def test_reduce_ame_bell6():
@@ -375,33 +387,88 @@ def test_reduce_ame_non_ame_input_is_vacuous():
 def test_merge_factors_all_recovers_original():
     g = bell_group(6)
     dec = decompose(g)
-    merged = merge_factors(dec, [0, 1])
-    report = validate(merged.group)
+    merged = merge_factors(dec.factor_groups)
+    report = validate(merged)
     assert report.stabilizes_unique_state and report.order == 36
-    assert states_equal(merged.state, state_from_group(g))
-    assert states_equal(state_from_group(merged.group), state_from_group(g))
+    assert states_equal(state_from_group(merged), state_from_group(g))
 
 
 def test_merge_factors_singleton_unchanged():
     dec = decompose(bell_group(6))
-    merged = merge_factors(dec, [0])
-    assert merged.group == dec.factor_groups[0]
-    assert states_equal(merged.state, dec.factor_states[0])
+    assert merge_factors(dec.factor_groups[:1]) == dec.factor_groups[0]
 
 
 def test_merge_factors_ghz6_all_subsets_ame():
     dec = decompose(ghz_group(6, 3))
     for subset in ([0], [1], [0, 1]):
-        merged = merge_factors(dec, subset)
-        assert verify_ame_symbolic(merged.group).is_ame
+        merged = merge_factors([dec.factor_groups[i] for i in subset])
+        assert verify_ame_symbolic(merged).is_ame
 
 
-def test_merge_factors_rejects_empty_and_bad_indices():
-    dec = decompose(bell_group(6))
-    with pytest.raises(ValueError):
-        merge_factors(dec, [])
-    with pytest.raises(ValueError):
-        merge_factors(dec, [5])
+def test_merge_factors_rejects_empty_noncoprime_and_mismatched_groups():
+    for groups, message in (
+        ([], "at least one"),
+        ([bell_group(2), bell_group(4)], "not pairwise coprime"),
+        ([bell_group(6), bell_group(3)], "not pairwise coprime"),
+        ([bell_group(2), ghz_group(3, 3)], "different numbers of parties"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            merge_factors(groups)
+
+
+@pytest.mark.parametrize("parties,dims", [(5, (2, 3)), (4, (3, 5))])
+def test_merge_factors_of_independent_search_witnesses_is_ame(parties, dims):
+    # AME(5,2) and AME(5,3), found by two separate searches, give AME(5,6);
+    # AME(4,3) and AME(4,5) give AME(4,15)
+    witnesses = [graph_to_group(search_ame(parties, d, mode="first").found[0]) for d in dims]
+    merged = merge_factors(witnesses)
+    assert merged.dimension == dims[0] * dims[1] and merged.parties == parties
+    assert validate(merged).stabilizes_unique_state
+    assert verify_ame_symbolic(merged).is_ame
+
+
+def test_factor_group_of_merge_recovers_each_factor():
+    # independent groups over the prime powers of D, generators mixed so that
+    # phases and z.x are nontrivial; the image of the merge at q is the q
+    # group's own generators, plus one identity per generator of the others
+    rng = np.random.default_rng(137)
+    cases = 0
+    for dim in (6, 10, 12, 15, 30):
+        for n in (2, 3):
+            factors = [
+                unimodular_mix(rng, random_graph_group(rng, q, n))
+                for q in factorize(dim).prime_powers
+            ]
+            merged = merge_factors(factors)
+            assert merged.dimension == dim
+            for fg in factors:
+                image = factor_group(merged, fg.dimension).generators
+                assert tuple(p for p in image if not p.is_identity()) == fg.generators
+                cases += 1
+    assert cases == 22
+
+
+def test_factor_group_at_a_product_of_prime_powers_matches_the_merge():
+    # the paper's subset statement in one call: the q_M-factor of g, with
+    # q_M the product of the prime powers in M, is the merge of those factors
+    rng = np.random.default_rng(139)
+    for dim in (30, 42, 60):
+        for n in (2, 3):
+            g = unimodular_mix(rng, random_graph_group(rng, dim, n))
+            dec = decompose(g, dense_budget=0)
+            qs = dec.factorization.prime_powers
+            for size in range(1, len(qs) + 1):
+                for subset in combinations(range(len(qs)), size):
+                    q_m = math.prod(qs[i] for i in subset)
+                    direct = factor_group(g, q_m)
+                    merged = merge_factors([dec.factor_groups[i] for i in subset])
+                    # two stabilizer groups of order q_m**n are equal exactly
+                    # when their joint generator list still is one
+                    both = StabilizerGroup(q_m, n, direct.generators + merged.generators)
+                    assert validate(both).stabilizes_unique_state
+                    assert verify_ame_symbolic(direct).is_ame == verify_ame_symbolic(merged).is_ame
+                    if q_m**n <= 10**5:
+                        assert states_equal(state_from_group(direct), state_from_group(merged))
 
 
 def test_prime_power_reduction_end_to_end():
@@ -415,12 +482,19 @@ def test_prime_power_reduction_end_to_end():
         m = dec.factorization.num_factors
         verdicts = reduce_ame(g, dec)
         assert all(v.is_ame for v in verdicts)
+        states = [state_from_group(fg) for fg in dec.factor_groups]
         for size in range(1, m + 1):
             for subset in combinations(range(m), size):
-                assert verify_ame_symbolic(merge_factors(dec, subset).group).is_ame
+                merged = merge_factors([dec.factor_groups[i] for i in subset])
+                assert verify_ame_symbolic(merged).is_ame
+                # the merged state is the tensor of the chosen factor states
+                # under the inverse CRT relabeling
+                relabel = np.argsort(crt_unitary(factorize(merged.dimension)))
+                want = permute_levels(tensor([states[i] for i in subset]), relabel)
+                assert states_equal(state_from_group(merged), want)
         # per-factor reduced densities are I / q^{|S|}
         n = g.parties
-        for fg, st in zip(dec.factor_groups, dec.factor_states):
+        for st in states:
             for subset in combinations(range(n), n // 2):
                 rho = reduced_density(st, subset)
                 assert is_maximally_mixed(rho, 1e-9).verdict

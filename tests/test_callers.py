@@ -1,9 +1,10 @@
-"""Every public function, method and class of the package is read in the package.
+"""Every public function, method, class and class field of the package is read in the package.
 
 Code that only the tests call belongs in ``tests/`` (see ``conftest.py``),
 and an exception or record type that nothing raises, catches or builds is
-dead. A name counts as used when it is read somewhere in ``src/`` as a name
-or an attribute; being imported or defined does not count.
+dead, as is a record field that nothing reads. A name counts as used when it
+is read somewhere in ``src/`` as a name or an attribute; being imported or
+defined does not count, and a field must be read as an attribute.
 """
 
 import ast
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import stabame
 
-# Kept without a caller: merge_factors for deriving no-go cells from factor
-# witnesses, the two parsers for re-checking emitted artifacts.
+# Kept without a caller: merge_factors for building witness cells from
+# prime-power witnesses found by separate searches, the two parsers for
+# re-checking emitted artifacts.
 KEPT = {"merge_factors", "parse_witness_line", "parse_table_csv"}
 
 
@@ -43,3 +45,18 @@ def test_every_public_class_is_read_in_the_package():
     assert {"StabilizerGroup", "BudgetExceededError"} <= classes.keys()
     unused = {name: where for name, where in classes.items() if name not in used}
     assert unused == {}
+
+
+def test_every_class_field_is_read_in_the_package():
+    fields, read = {}, set()
+    for path in sorted(Path(stabame.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        fields[f"{node.name}.{stmt.target.id}"] = f"{path.name}:{stmt.lineno}"
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert "StabilizerGroup.generators" in fields
+    unread = {name: where for name, where in fields.items() if name.split(".")[1] not in read}
+    assert unread == {}

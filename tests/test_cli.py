@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,33 @@ def test_decompose_prime_dimension(tmp_path):
     run(["construct", "bell", "--dim", "5", "--out", str(gens)])
     assert run(["decompose", str(gens), "--out", str(report)]) == 0
     assert "factorization D=5 n=2 factors=5^1" in report.read_text()
+
+
+def test_large_prime_dimensions_are_decided_at_once(tmp_path, capsys):
+    # trial division stops at 2**20; 2**61 - 1 past it is certified prime by
+    # Miller-Rabin instead of trial-divided up to its square root
+    prime = 2**61 - 1
+    gens = tmp_path / "bell.gens"
+    facts = tmp_path / "facts.txt"
+    assert run(["construct", "bell", "--dim", str(prime), "--out", str(gens)]) == 0
+    facts.write_text(f"4 {prime} noStabAME big\n")
+    for argv in (["decompose", str(gens)], ["nogo", "--facts", str(facts)]):
+        started = time.perf_counter()
+        assert run(argv) == 0
+        assert time.perf_counter() - started < 1.0, argv
+    assert f"factorization D={prime} n=2 factors={prime}^1" in capsys.readouterr().out
+
+
+def test_a_dimension_past_the_factorization_bound_is_an_error(tmp_path, capsys):
+    dim = 1048583 * 1048589  # two primes past 2**20
+    gens = tmp_path / "bell.gens"
+    facts = tmp_path / "facts.txt"
+    assert run(["construct", "bell", "--dim", str(dim), "--out", str(gens)]) == 0
+    facts.write_text(f"4 {dim} noStabAME big\n")
+    assert run(["decompose", str(gens)]) == 1
+    assert f"error: cannot factor dimension {dim}" in capsys.readouterr().err
+    assert run(["nogo", "--facts", str(facts)]) == 1
+    assert f"error: line 1: cannot factor dimension {dim}" in capsys.readouterr().err
 
 
 def test_search_cli_exhaustive_and_shard(tmp_path):

@@ -36,6 +36,12 @@ def test_load_facts_rejects_non_prime_power():
         load_facts("4 6 noAME x\n")
 
 
+def test_load_facts_names_the_line_of_a_dimension_it_cannot_factor():
+    # 1048583 * 1048589: two primes past the trial-division bound
+    with pytest.raises(FactsError, match="line 2: cannot factor dimension 1099532599387"):
+        load_facts("4 2 noAME ok\n4 1099532599387 noStabAME big\n")
+
+
 def test_load_facts_rejects_malformed():
     with pytest.raises(FactsError, match="line 2"):
         load_facts("4 2 noAME ok\n4 2\n")

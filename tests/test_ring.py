@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import crt_combine, snf_diagonal_oracle
+from conftest import crt_combine, crt_split, snf_diagonal_oracle, sylow_exponent
 from snf import (
     identity_matrix,
     integer_determinant,
@@ -13,12 +13,10 @@ from snf import (
 )
 from stabame.ring import (
     PrimePowerFactorization,
-    crt_split,
     factorize,
     kernel_mod,
     solve_mod,
     span_order_mod,
-    sylow_exponent,
 )
 
 
@@ -28,6 +26,52 @@ def test_factorize_examples():
     assert factorize(12).factors == ((2, 2, 4), (3, 1, 3))
     assert factorize(2).factors == ((2, 1, 2),)
     assert factorize(30).factors == ((2, 1, 2), (3, 1, 3), (5, 1, 5))
+
+
+def _trial_division(dim):
+    factors, p = [], 2
+    while p * p <= dim:
+        e = 0
+        while dim % p == 0:
+            dim, e = dim // p, e + 1
+        if e:
+            factors.append((p, e, p**e))
+        p += 1
+    return tuple(factors) + (((dim, 1, dim),) if dim > 1 else ())
+
+
+def test_factorize_matches_unbounded_trial_division():
+    for dim in range(2, 20001):
+        assert factorize(dim).factors == _trial_division(dim), dim
+
+
+# 1048583 and 1048589 are the two smallest primes above 2**20
+@pytest.mark.parametrize(
+    "dim,factors",
+    [
+        (2**61 - 1, ((2**61 - 1, 1, 2**61 - 1),)),
+        (2 * (2**61 - 1), ((2, 1, 2), (2**61 - 1, 1, 2**61 - 1))),
+        (2**64 + 13, ((2**64 + 13, 1, 2**64 + 13),)),
+        (1048583**2, ((1048583, 2, 1048583**2),)),
+        (6 * 1048589**5, ((2, 1, 2), (3, 1, 3), (1048589, 5, 1048589**5))),
+        (2**400 * 3**300, ((2, 400, 2**400), (3, 300, 3**300))),
+    ],
+)
+def test_factorize_certifies_factors_past_the_trial_division_bound(dim, factors):
+    assert factorize(dim).factors == factors
+
+
+@pytest.mark.parametrize(
+    "dim",
+    [
+        1048583 * 1048589,  # two primes past the bound
+        1048583**2 * 1048589,  # no power of one prime
+        2**89 - 1,  # prime, but past the exact Miller-Rabin bound
+    ],
+)
+def test_factorize_refuses_what_it_cannot_certify(dim):
+    with pytest.raises(ValueError, match=f"cannot factor dimension {dim}"):
+        factorize(dim)
 
 
 def test_factorize_rejects_small():

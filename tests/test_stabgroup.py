@@ -8,13 +8,14 @@ from conftest import (
     random_pauli,
     single_site,
     sylow_component,
+    sylow_exponent,
     sylow_then_project,
     unimodular_mix,
 )
 from enumeration import enumerate_elements
 from stabame import stabgroup
 from stabame.pauli import PauliProduct, make_pauli, multiply, power, symplectic_inner
-from stabame.ring import factorize, sylow_exponent
+from stabame.ring import factorize
 from stabame.stabgroup import (
     StabilizerGroup,
     bell_group,
@@ -283,10 +284,10 @@ def test_factor_group_is_the_factor_block_of_the_relabeled_sylow_part(dim):
     # the factor-i block of the CRT-relabeled gen**m_i is factor_group's image
     rng = np.random.default_rng(113 + dim)
     f = factorize(dim)
-    for i in range(f.num_factors):
+    for i, q in enumerate(f.prime_powers):
         for _ in range(5):
             p = random_pauli(rng, dim, 1)
-            image = factor_group(StabilizerGroup(dim, 1, (p,)), f, i).generators[0]
+            image = factor_group(StabilizerGroup(dim, 1, (p,)), q).generators[0]
             block = _embedded_sector_matrix(power(p, sylow_exponent(f, i)), f, i)
             assert np.abs(block - dense_matrix(image)).max() < 1e-12
 
@@ -295,7 +296,7 @@ def test_project_to_factor_ghz6_q3():
     # q = 3, t = 2, u = 2**-1 mod 3 = 2: X exponents mod 3, Z exponents times 2
     g = ghz_group(6, 3)
     f = factorize(6)
-    factor = factor_group(g, f, 1)
+    factor = factor_group(g, 3)
     assert factor.generators == (
         make_pauli(3, 3, 0, [1, 1, 1], None),
         make_pauli(3, 3, 0, None, [2, 1, 0]),
@@ -327,7 +328,7 @@ def test_factor_group_matches_the_two_step_reference_sweep():
             valid += is_valid
             invalid += not is_valid
             for i, q in enumerate(f.prime_powers):
-                image = factor_group(g, f, i)
+                image = factor_group(g, q)
                 assert image == sylow_then_project(g, f, i), (g, i)
                 if is_valid:
                     report = validate(image)
@@ -335,9 +336,15 @@ def test_factor_group_matches_the_two_step_reference_sweep():
     assert valid > 200 and invalid > 100
 
 
-def test_factor_group_rejects_a_foreign_factorization():
-    with pytest.raises(ValueError):
-        factor_group(ghz_group(6, 2), factorize(12), 0)
+def test_factor_group_and_embed_pauli_reject_a_q_that_does_not_split_off():
+    # q must divide D and be prime to D / q: 2 leaves the cofactor 6 at D = 12
+    for g, q in ((ghz_group(12, 2), 2), (ghz_group(6, 2), 4), (ghz_group(6, 2), 1)):
+        with pytest.raises(ValueError, match=f"{q} is not a factor of {g.dimension} coprime"):
+            factor_group(g, q)
+    p = single_site(2, 2, 0, x=1)
+    for d in (12, 4, 9):
+        with pytest.raises(ValueError, match=f"2 is not a factor of {d} coprime"):
+            embed_pauli(p, d)
 
 
 def test_generator_product_skips_zero_coefficients(monkeypatch):
@@ -362,11 +369,10 @@ def test_embed_pauli_roundtrip():
     rng = np.random.default_rng(107)
     for dim in (6, 12, 30):
         f = factorize(dim)
-        for i in range(f.num_factors):
-            q = f.prime_powers[i]
+        for i, q in enumerate(f.prime_powers):
             for _ in range(6):
                 p = random_pauli(rng, q, 2)
-                assert project_pauli(embed_pauli(p, f, i), f, i) == p
+                assert project_pauli(embed_pauli(p, dim), f, i) == p
 
 
 def test_generator_file_roundtrip():

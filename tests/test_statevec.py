@@ -57,7 +57,7 @@ def test_dense_contracts_reject_non_finite_values(bad):
             matrix = np.eye(2, dtype=complex) / 2
             matrix[k, j] = bad
             with pytest.raises(ValueError):
-                ReducedDensity((0,), matrix)
+                ReducedDensity(matrix)
 
 
 def test_state_from_group_bell():
@@ -333,12 +333,10 @@ def test_reduced_density_matches_einsum_partial_trace():
         for m in range(n + 1):
             for sub in combinations(range(n), m):
                 rho = reduced_density(st, sub)
-                assert rho.subset == sub
                 assert np.abs(rho.matrix - _einsum_partial_trace(st, sub)).max() < 1e-12
         for _ in range(4):
             sub = [int(k) for k in rng.permutation(n)[: int(rng.integers(1, n))]]
             rho = reduced_density(st, sub)
-            assert rho.subset == tuple(sorted(sub))
             assert np.abs(rho.matrix - _einsum_partial_trace(st, sub)).max() < 1e-12
 
 
@@ -351,27 +349,27 @@ def _density_with_spectrum(eigenvalues, rng):
 def test_reduced_density_contract_rejects():
     rng = np.random.default_rng(67)
     with pytest.raises(ValueError, match="square"):
-        ReducedDensity((0,), np.full((2, 3), 0.5))
+        ReducedDensity(np.full((2, 3), 0.5))
     skew = np.eye(2) / 2
     skew[0, 1] = 1e-10
     with pytest.raises(ValueError, match="Hermitian"):
-        ReducedDensity((0,), skew)
+        ReducedDensity(skew)
     with pytest.raises(ValueError, match="trace"):
-        ReducedDensity((0,), np.diag([0.5 + 1e-8, 0.5]))
+        ReducedDensity(np.diag([0.5 + 1e-8, 0.5]))
     negative = _density_with_spectrum([0.5, 0.3, 0.2 + 2e-9, 0.0, 0.0, -2e-9], rng)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        ReducedDensity((0,), negative)
+        ReducedDensity(negative)
 
 
 def test_reduced_density_contract_accepts():
     rng = np.random.default_rng(71)
     nearly = _density_with_spectrum([0.5, 0.3, 0.2 + 5e-10, 0.0, 0.0, -5e-10], rng)
-    ReducedDensity((0,), nearly)
+    ReducedDensity(nearly)
     v = rng.normal(size=(144, 12)) + 1j * rng.normal(size=(144, 12))
     low_rank = v @ v.conj().T
     low_rank = (low_rank + low_rank.conj().T) / (2 * np.trace(low_rank).real)
     assert np.linalg.matrix_rank(low_rank) == 12
-    ReducedDensity((0, 1), low_rank)
+    ReducedDensity(low_rank)
 
 
 def test_verify_ame_dense_worst_subset_ignores_roundoff():
