@@ -1,11 +1,12 @@
 """AME verification and the prime-power decomposition of stabilizer states.
 
-The pipeline: a stabilizer state over composite D splits, through the CRT
-basis relabeling, into independent stabilizer states over the prime-power
-factors of D. Each factor group is the Sylow component of the original group
+The pipeline: a stabilizer state over composite D splits, digit by digit
+through the CRT, into independent stabilizer states over the prime-power
+factors of D; the input state is their :func:`~stabame.statevec.crt_product`.
+Each factor group is the Sylow component of the original group
 re-expressed in the smaller Pauli group, mapped generator by generator in
-closed form; if the original state is AME, every factor (and every tensor
-product of factors) is AME as well.
+closed form; if the original state is AME, every factor (and every product
+of factors) is AME as well.
 
 The symbolic AME criterion used here: a stabilizer state is AME exactly when
 no nonidentity group element is supported entirely inside any floor(n/2)-party
@@ -40,10 +41,9 @@ from .statevec import (
     DEFAULT_DENSE_BUDGET,
     AmeVerdict,
     check_tolerance,
+    crt_product,
     fidelity,
-    permute_levels,
     state_from_group,
-    tensor,
     verify_ame_dense,
 )
 
@@ -56,31 +56,23 @@ class FactorDecomposition:
     factor_groups: tuple[StabilizerGroup, ...]
 
 
-def crt_unitary(f: ring.PrimePowerFactorization) -> tuple[int, ...]:
-    """Basis permutation realizing Z_D = Z_{q_1} x ... x Z_{q_m}.
+def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
+    """Exact AME check on the stabilizer group, no dense state needed.
 
-    Position j maps to sum_i (j mod q_i) * weight_i with weight_i the product
-    of the later prime powers. Conjugating X_D by this permutation gives the
-    tensor of the factor X operators exactly; conjugating Z_D gives the tensor
-    of Z_{q_i}**c_i, with c_i the inverse of D/q_i modulo q_i.
+    Validates the group (once per group object), then finds the first
+    floor(n/2)-subset supporting a nonidentity element. As ``g`` is valid,
+    its exponent vectors span a subgroup of order D**n with one element per
+    vector. The elements supported inside S are the kernel of restricting
+    the exponents to the columns outside S, so there are
+    D**n / |span of M_outside| of them and S fails exactly when the outside
+    columns span fewer than D**n vectors. A non-AME verdict names the first
+    failing subset in ``combinations`` order; only that subset is eliminated
+    again with its left transform (``ring.kernel_mod``): its relations mod D
+    generate those elements up to gen**D, which is the identity in a valid
+    group, so the first non-identity product over them is the witness.
     """
-    qs = f.prime_powers
-    weights = [math.prod(qs[i + 1 :]) for i in range(len(qs))]
-    return tuple(sum(j % q * w for q, w in zip(qs, weights)) for j in range(f.dimension))
-
-
-def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
-    """Find the first floor(n/2)-subset supporting a nonidentity element.
-
-    ``g`` is validated, so its exponent vectors span a subgroup of order
-    D**n with one element per vector. The elements supported inside S are
-    the kernel of restricting the exponents to the columns outside S, so
-    there are D**n / |span of M_outside| of them and S fails exactly when
-    the outside columns span fewer than D**n vectors. Only the first failing
-    subset is eliminated again with its left transform (``ring.kernel_mod``):
-    its relations mod D generate those elements up to gen**D, which is the
-    identity in a valid group, so one of them is a non-identity witness.
-    """
+    if not validate(g).stabilizes_unique_state:
+        raise ValueError("group does not stabilize a unique state")
     d = g.dimension
     n = g.parties
     full = d**n
@@ -107,21 +99,6 @@ def _symbolic_by_counting(g: StabilizerGroup) -> AmeVerdict:
                 raise AssertionError("subset supports elements but no witness in the relations")
             return AmeVerdict(False, "symbolic", witness=witness, worst_subset=sub)
     return AmeVerdict(True, "symbolic")
-
-
-def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
-    """Exact AME check on the stabilizer group, no dense state needed.
-
-    Validates the group (once per group object), then asks of each
-    floor(n/2)-subset (for even n, of the half holding party 0) whether the
-    exponents outside it still span D**n vectors (:func:`_symbolic_by_counting`).
-    A non-AME verdict names the first failing subset in ``combinations``
-    order and, as witness, the first non-identity product over the relations
-    mod D of that subset's outside columns.
-    """
-    if not validate(g).stabilizes_unique_state:
-        raise ValueError("group does not stabilize a unique state")
-    return _symbolic_by_counting(g)
 
 
 def verify_ame(
@@ -159,9 +136,9 @@ def decompose(
 
     Each factor group is the closed-form image of the generators
     (:func:`~stabame.stabgroup.factor_group`, once per prime power). Only
-    when D**n fits ``dense_budget`` are the factor states synthesized and the
-    CRT relabeling built, and the tensor of the factors is checked against
-    the relabeled original state with fidelity > 1 - 1e-9; a violation raises.
+    when D**n fits ``dense_budget`` are the factor states synthesized, and
+    their :func:`~stabame.statevec.crt_product` is checked against the input
+    state with fidelity > 1 - 1e-9; a violation raises.
     """
     report = validate(g)
     if not report.stabilizes_unique_state:
@@ -171,14 +148,13 @@ def decompose(
 
     if g.dimension**g.parties <= dense_budget:
         original = state_from_group(g, dense_budget=dense_budget)
-        relabeled = permute_levels(original, crt_unitary(f))
-        combined = tensor(
+        combined = crt_product(
             [state_from_group(fg, dense_budget=dense_budget) for fg in factor_groups]
         )
-        overlap = fidelity(combined, relabeled)
+        overlap = fidelity(combined, original)
         if overlap <= 1.0 - 1e-9:
             raise RuntimeError(
-                f"factor states do not reassemble the relabeled input (fidelity {overlap:.12f}); "
+                f"factor states do not reassemble the input (fidelity {overlap:.12f}); "
                 "this indicates a bug"
             )
     return FactorDecomposition(f, factor_groups)
@@ -206,8 +182,8 @@ def merge_factors(groups: Sequence[StabilizerGroup]) -> StabilizerGroup:
     """Merge groups on the same parties over pairwise coprime dimensions.
 
     Every generator is lifted into the Pauli group over D = the product of
-    the dimensions (:func:`~stabame.stabgroup.embed_pauli`); under the
-    inverse CRT relabeling the merged state is the tensor of the inputs'
+    the dimensions (:func:`~stabame.stabgroup.embed_pauli`); the merged
+    state is the :func:`~stabame.statevec.crt_product` of the inputs'
     states. The inputs may be the factors of one decomposition or witnesses
     found apart, say an AME(5,2) and an AME(5,3) group. If every input is AME
     the merge must be AME too (checked; a violation raises as an internal

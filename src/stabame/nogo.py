@@ -19,7 +19,7 @@ noStabAME.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from . import ring
@@ -44,22 +44,22 @@ class KnownFact:
     local_dim: int
     status: str
     source: str
+    # the prime p of local_dim = p**e, kept from the one factorization
+    prime: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.status not in _STATUSES:
             raise FactsError(f"unknown status {self.status!r}")
         if self.parties < 2:
             raise FactsError(f"parties must be >= 2, got {self.parties}")
-        if not _is_prime_power(self.local_dim):
+        factors = ring.factorize(self.local_dim).factors if self.local_dim >= 2 else ()
+        if len(factors) != 1:
             raise FactsError(f"{self.local_dim} is not a prime power")
+        object.__setattr__(self, "prime", factors[0][0])
 
     @property
     def negative(self) -> bool:
         return self.status in (STATUS_NO_AME, STATUS_NO_STAB_AME)
-
-
-def _is_prime_power(q: int) -> bool:
-    return q >= 2 and ring.factorize(q).num_factors == 1
 
 
 def load_facts(text: str) -> list[KnownFact]:
@@ -154,7 +154,7 @@ def propagate(
     # Facts in increasing-prime order, so each cell gets its reasons in the
     # order of its factors. D // q % p != 0 says the q-part of D is q itself.
     reasons: dict[tuple[int, int], list[str]] = {}
-    by_prime = sorted((ring.factorize(q).factors[0][0], n, q) for n, q in negative)
+    by_prime = sorted((fact.prime, n, q) for (n, q), fact in negative.items())
     for p, n, q in by_prime:
         if n > max_parties:
             continue

@@ -1,9 +1,11 @@
 """Dense state vectors: synthesis from stabilizer groups, partial traces, AME checks.
 
 Index convention: party-major, one base-D digit per party, so basis index
-sum_k j_k * D**(n-1-k) holds |j_1 ... j_n>. Composite-dimension digits relate
-to per-factor digits through the CRT split; :func:`tensor` composes factor
-states in exactly that digit ordering.
+sum_k j_k * D**(n-1-k) holds |j_1 ... j_n>. Every state, the product of
+factor states included, is written in this basis of its own D:
+:func:`crt_product` maps the factor states over pairwise coprime q_i to
+the state over D = prod(q_i) whose amplitude at (j_1..j_n) is
+prod_i psi_i(j_1 mod q_i, ..., j_n mod q_i), the CRT split digit by digit.
 
 Equality of states is always up to global phase, via |<a|b>| > 1 - tol.
 
@@ -12,8 +14,8 @@ amplitudes on the state's support in closed form: the seed is solved for by
 one elimination mod 2D, the support grows from it, coset by coset, one
 generator at a time, and each new amplitude is an exact power of lam, so no
 pass over the D**n indices and no projection ever runs.
-:func:`reduced_density` (kept parties transposed first), :func:`tensor` and
-:func:`permute_levels` work on the amplitudes reshaped to one axis per party.
+:func:`reduced_density` (kept parties transposed first) and
+:func:`crt_product` work on the amplitudes reshaped to one axis per party.
 :class:`ReducedDensity` tests positive semidefiniteness by a Cholesky
 factorization of ``matrix + NORM_TOL * I``, i.e. lambda_min > -NORM_TOL.
 """
@@ -77,12 +79,6 @@ class ReducedDensity:
             np.linalg.cholesky(self.matrix + NORM_TOL * np.eye(r))
         except np.linalg.LinAlgError:
             raise ValueError("density matrix is not positive semidefinite") from None
-
-
-@dataclass(frozen=True)
-class MaxMixedReport:
-    verdict: bool
-    max_deviation: float
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,12 @@ def state_from_group(
         x = np.array(gen.x_exp)
         z = np.array(gen.z_exp)
         t = np.arange(a)
-        steps = t * (gen.phase_exp - (t - 1) * int(z @ x))
-        exps = (exps + steps[:, None] + 2 * t[:, None] * (z @ support)).reshape(-1)
+        # every term is reduced mod 2D before it is multiplied, so no
+        # product leaves int64 (unreduced, t**2 (z.x) reaches D**4)
+        zx = int(z @ x) % (2 * d)
+        steps = t * ((gen.phase_exp - (t - 1) * zx) % (2 * d)) % (2 * d)
+        zj = (z @ support) % (2 * d)
+        exps = (exps + steps[:, None] + 2 * t[:, None] * zj).reshape(-1) % (2 * d)
         support = (support[:, None, :] + (np.outer(x, -t) % d)[:, :, None]).reshape(n, -1)
         support[support >= d] -= d
     index = d ** np.arange(n - 1, -1, -1) @ support
@@ -203,50 +203,45 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
 
 
-def is_maximally_mixed(rho: ReducedDensity, tol: float) -> MaxMixedReport:
-    r = rho.matrix.shape[0]
-    dev = float(np.abs(rho.matrix - np.eye(r) / r).max())
-    return MaxMixedReport(dev <= tol, dev)
-
-
 def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> AmeVerdict:
     """Check every floor(n/2)-party reduction for maximal mixedness.
 
-    Subsets are visited in lexicographic order; the verdict is independent of
-    that order. The reported deviation is the maximum, and the reported worst
-    subset is the first one within ALGEBRA_TOL of it, so float roundoff cannot
-    pick among subsets that tie exactly.
+    A subset S deviates from I/r by max|rho_S - I/r|, and the state passes
+    when the largest deviation is within ``tol``. Subsets are visited in
+    lexicographic order; the verdict is independent of that order. The
+    reported deviation is the maximum, and the reported worst subset is the
+    first one within ALGEBRA_TOL of it, so float roundoff cannot pick among
+    subsets that tie exactly.
     """
     check_tolerance(tol)
     n = state.parties
-    reports = [
-        (sub, is_maximally_mixed(reduced_density(state, sub), tol))
-        for sub in combinations(range(n), n // 2)
-    ]
-    worst = max(report.max_deviation for _, report in reports)
-    worst_subset = next(
-        sub for sub, report in reports if report.max_deviation >= worst - ALGEBRA_TOL
-    )
-    return AmeVerdict(
-        all(report.verdict for _, report in reports),
-        "dense",
-        worst_subset=worst_subset,
-        worst_deviation=worst,
-    )
+    subsets = list(combinations(range(n), n // 2))
+    devs = []
+    for sub in subsets:
+        rho = reduced_density(state, sub).matrix
+        r = rho.shape[0]
+        devs.append(float(np.abs(rho - np.eye(r) / r).max()))
+    worst = max(devs)
+    worst_subset = next(sub for sub, dev in zip(subsets, devs) if dev >= worst - ALGEBRA_TOL)
+    return AmeVerdict(worst <= tol, "dense", worst_subset=worst_subset, worst_deviation=worst)
 
 
-def tensor(states: Sequence[DenseState]) -> DenseState:
-    """Combine per-factor states into one state over D = prod(q_i).
+def crt_product(states: Sequence[DenseState]) -> DenseState:
+    """The product of factor states over pairwise coprime q_i, over D = prod(q_i).
 
-    All inputs must share the party count. The composite digit of party k is
-    built from the factor digits in list order, first factor most significant,
-    matching the CRT relabeling convention used by the decomposition pipeline.
+    The amplitude at (j_1..j_n) is prod_i psi_i(j_1 mod q_i, ..., j_n mod q_i):
+    by the CRT, j -> (j mod q_1, ..., j mod q_m) is a bijection of Z_D, so
+    this is the product state written in D's own basis. All inputs must
+    share the party count.
     """
     if not states:
         raise ValueError("need at least one state")
     n = states[0].parties
     if any(s.parties != n for s in states):
         raise ValueError("all factor states must share the party count")
+    dims = [s.dimension for s in states]
+    if math.lcm(*dims) != math.prod(dims):
+        raise ValueError(f"dimensions {dims} are not pairwise coprime")
     # the outer product of the per-factor (q_i,)*n arrays, each broadcast
     # straight into axes k*m + i (party k, factor i): party-major, factor-minor
     m = len(states)
@@ -255,15 +250,12 @@ def tensor(states: Sequence[DenseState]) -> DenseState:
         shape = [1] * (n * m)
         shape[i::m] = [s.dimension] * n
         amps = amps * s.amplitudes.reshape(shape)
-    return DenseState(math.prod(s.dimension for s in states), n, amps.reshape(-1))
-
-
-def permute_levels(state: DenseState, perm: Sequence[int]) -> DenseState:
-    """Relabel every party's basis digit j -> perm[j]."""
-    d = state.dimension
-    perm = list(perm)
-    if sorted(perm) != list(range(d)):
-        raise ValueError(f"perm must be a permutation of 0..{d - 1}")
-    inv = np.argsort(perm)
-    amps = state.amplitudes.reshape((d,) * state.parties)[np.ix_(*[inv] * state.parties)]
-    return DenseState(d, state.parties, amps.reshape(-1))
+    # digit j of D sits at the mixed-radix position of its residues, first
+    # factor most significant: sum_i (j mod q_i) * prod_{l > i} q_l
+    d = math.prod(dims)
+    j = np.arange(d)
+    position = np.zeros(d, dtype=np.int64)
+    for q in dims:
+        position = position * q + j % q
+    amps = amps.reshape((d,) * n)[np.ix_(*[position] * n)]
+    return DenseState(d, n, amps.reshape(-1))

@@ -5,9 +5,10 @@ The reference Pauli matrices here are built straight from the defining sums
 the column-by-column realization below, so the two check each other and the
 group arithmetic. The helpers at the end (dense matrices, single-site
 elements, basis states, local unitaries, the CRT split, idempotents and
-cofactors with recombination and coefficients, the two-step
-Sylow-then-project factor map, the scalar candidate decoder) have no caller
-in the package.
+cofactors with recombination and coefficients, the CRT relabeling
+permutation with the factor-digit tensor and level relabeling it feeds, the
+two-step Sylow-then-project factor map, the scalar candidate decoder) have
+no caller in the package.
 """
 
 import math
@@ -295,6 +296,55 @@ def crt_coefficients(f: PrimePowerFactorization) -> tuple[int, ...]:
     return tuple(
         (sylow_exponent(f, i) // cofactor_modulus(f, i)) % q for i, q in enumerate(f.prime_powers)
     )
+
+
+def crt_unitary(f: PrimePowerFactorization) -> tuple[int, ...]:
+    """Basis permutation realizing Z_D = Z_{q_1} x ... x Z_{q_m}.
+
+    Position j maps to sum_i (j mod q_i) * weight_i with weight_i the product
+    of the later prime powers. Conjugating X_D by this permutation gives the
+    tensor of the factor X operators exactly; conjugating Z_D gives the tensor
+    of Z_{q_i}**c_i, with c_i the inverse of D/q_i modulo q_i.
+    """
+    qs = f.prime_powers
+    weights = [math.prod(qs[i + 1 :]) for i in range(len(qs))]
+    return tuple(sum(j % q * w for q, w in zip(qs, weights)) for j in range(f.dimension))
+
+
+def tensor(states: Sequence[DenseState]) -> DenseState:
+    """Per-factor states combined over D = prod(q_i) in factor-digit order.
+
+    The composite digit of party k is built from the factor digits in list
+    order, first factor most significant, so the product is the state
+    relabeled by :func:`crt_unitary`: the reference that
+    :func:`stabame.statevec.crt_product` is checked against, through
+    :func:`permute_levels`.
+    """
+    if not states:
+        raise ValueError("need at least one state")
+    n = states[0].parties
+    if any(s.parties != n for s in states):
+        raise ValueError("all factor states must share the party count")
+    # the outer product of the per-factor (q_i,)*n arrays, each broadcast
+    # straight into axes k*m + i (party k, factor i): party-major, factor-minor
+    m = len(states)
+    amps = np.ones((1,) * (n * m), dtype=complex)
+    for i, s in enumerate(states):
+        shape = [1] * (n * m)
+        shape[i::m] = [s.dimension] * n
+        amps = amps * s.amplitudes.reshape(shape)
+    return DenseState(math.prod(s.dimension for s in states), n, amps.reshape(-1))
+
+
+def permute_levels(state: DenseState, perm: Sequence[int]) -> DenseState:
+    """Relabel every party's basis digit j -> perm[j]."""
+    d = state.dimension
+    perm = list(perm)
+    if sorted(perm) != list(range(d)):
+        raise ValueError(f"perm must be a permutation of 0..{d - 1}")
+    inv = np.argsort(perm)
+    amps = state.amplitudes.reshape((d,) * state.parties)[np.ix_(*[inv] * state.parties)]
+    return DenseState(d, state.parties, amps.reshape(-1))
 
 
 def sylow_component(

@@ -21,7 +21,7 @@ from conftest import (
     sylow_exponent,
 )
 from snf import integer_determinant, matrix_multiply, smith_normal_form
-from stabame.ame import crt_unitary, decompose, merge_factors, reduce_ame, verify_ame_symbolic
+from stabame.ame import decompose, merge_factors, reduce_ame, verify_ame_symbolic
 from stabame.cli import main as cli_main
 from stabame.errors import FactsError
 from stabame.nogo import default_facts, load_facts, propagate
@@ -34,12 +34,7 @@ from stabame.stabgroup import (
     parse_generator_file,
     validate,
 )
-from stabame.statevec import (
-    permute_levels,
-    state_from_group,
-    tensor,
-    verify_ame_dense,
-)
+from stabame.statevec import crt_product, state_from_group, verify_ame_dense
 
 
 
@@ -62,9 +57,8 @@ def test_criterion_1_ghz6_decomposition_pipeline(tmp_path):
         rep = validate(fg)
         assert rep.stabilizes_unique_state
         assert rep.order == want_order
-    relabeled = permute_levels(state_from_group(group), crt_unitary(dec.factorization))
-    combined = tensor([state_from_group(fg) for fg in dec.factor_groups])
-    overlap = abs(np.vdot(combined.amplitudes, relabeled.amplitudes))
+    combined = crt_product([state_from_group(fg) for fg in dec.factor_groups])
+    overlap = abs(np.vdot(combined.amplitudes, state_from_group(group).amplitudes))
     assert overlap > 1 - 1e-9
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"pipeline took {elapsed:.2f}s"

@@ -5,18 +5,20 @@ import pytest
 
 from conftest import (
     crt_coefficients,
+    crt_unitary,
     graph_from_index,
+    permute_levels,
     random_graph,
     random_graph_group,
     ref_x_matrix,
     ref_z_matrix,
     single_site,
     states_equal,
+    tensor,
     unimodular_mix,
 )
 from enumeration import first_supported_subset
 from stabame.ame import (
-    crt_unitary,
     decompose,
     format_decomposition_report,
     merge_factors,
@@ -37,11 +39,8 @@ from stabame.stabgroup import (
     validate,
 )
 from stabame.statevec import (
-    is_maximally_mixed,
-    permute_levels,
-    reduced_density,
+    crt_product,
     state_from_group,
-    tensor,
     verify_ame_dense,
 )
 from itertools import combinations
@@ -302,7 +301,8 @@ def test_decompose_prime_dimension_single_factor():
     dec = decompose(g)
     assert len(dec.factor_groups) == 1
     assert dec.factor_groups[0] == g
-    assert crt_unitary(dec.factorization) == tuple(range(5))
+    st = state_from_group(g)
+    assert np.array_equal(crt_product([st]).amplitudes, st.amplitudes)
 
 
 def test_decompose_bell6_factors_are_ame():
@@ -336,15 +336,15 @@ def test_decompose_without_dense(monkeypatch):
     assert len(calls) == 2 + 1
 
 
-def test_decompose_builds_the_crt_relabeling_only_for_the_dense_check(monkeypatch):
-    calls = _count_calls(monkeypatch, "crt_unitary")
+def test_decompose_builds_the_crt_product_only_for_the_dense_check(monkeypatch):
+    calls = _count_calls(monkeypatch, "crt_product")
     states = _count_calls(monkeypatch, "state_from_group")
     decompose(ghz_group(6, 3), dense_budget=215)
     assert calls == []
     decompose(ghz_group(6, 3), dense_budget=216)
-    assert [f.dimension for f in calls] == [6]
-    # neither a D-entry relabeling nor any state at D = 2 * 1000003 is built
-    # for a Bell pair whose D**2 amplitudes are far over the budget
+    assert [[st.dimension for st in factors] for factors in calls] == [[2, 3]]
+    # neither a product nor any state at D = 2 * 1000003 is built for a
+    # Bell pair whose D**2 amplitudes are far over the budget
     calls.clear()
     states.clear()
     dec = decompose(bell_group(2 * 1000003))
@@ -487,17 +487,13 @@ def test_prime_power_reduction_end_to_end():
             for subset in combinations(range(m), size):
                 merged = merge_factors([dec.factor_groups[i] for i in subset])
                 assert verify_ame_symbolic(merged).is_ame
-                # the merged state is the tensor of the chosen factor states
-                # under the inverse CRT relabeling
-                relabel = np.argsort(crt_unitary(factorize(merged.dimension)))
-                want = permute_levels(tensor([states[i] for i in subset]), relabel)
+                # the merged state is the CRT product of the chosen factor states
+                want = crt_product([states[i] for i in subset])
                 assert states_equal(state_from_group(merged), want)
         # per-factor reduced densities are I / q^{|S|}
-        n = g.parties
         for st in states:
-            for subset in combinations(range(n), n // 2):
-                rho = reduced_density(st, subset)
-                assert is_maximally_mixed(rho, 1e-9).verdict
+            report = verify_ame_dense(st)
+            assert report.is_ame and report.worst_deviation <= 1e-9
 
 
 def test_decomposition_report_format():

@@ -265,6 +265,18 @@ def test_decompose_prime_dimension(tmp_path):
     assert "factorization D=5 n=2 factors=5^1" in report.read_text()
 
 
+def test_decompose_near_the_dense_budget_keeps_phases_exact(tmp_path, capsys):
+    # D**n = 100000 fits the default budget, so the dense contract runs; the
+    # phase exponents of lam X**(D-1) Z**(D-1) overflowed int64 unreduced
+    gens = tmp_path / "big.gens"
+    gens.write_text("100000 1 1\n1 | 99999 | 99999\n")
+    assert run(["verify", str(gens), "--method", "both"]) == 0
+    assert run(["decompose", str(gens)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "factorization D=100000 n=1 factors=2^5,5^5" in out
+
+
 def test_large_prime_dimensions_are_decided_at_once(tmp_path, capsys):
     # trial division stops at 2**20; 2**61 - 1 past it is certified prime by
     # Miller-Rabin instead of trial-divided up to its square root

@@ -42,6 +42,20 @@ def test_load_facts_names_the_line_of_a_dimension_it_cannot_factor():
         load_facts("4 2 noAME ok\n4 1099532599387 noStabAME big\n")
 
 
+def test_each_fact_is_factorized_once(monkeypatch):
+    # 2**61 - 1 takes a Miller-Rabin certificate; propagate reads the prime
+    # off the fact instead of factorizing q again
+    from stabame import ring
+
+    calls = []
+    real = ring.factorize
+    monkeypatch.setattr(ring, "factorize", lambda q: calls.append(q) or real(q))
+    table = propagate(load_facts(f"4 {2**61 - 1} noStabAME big\n"))
+    assert calls == [2**61 - 1]
+    assert load_facts("4 8 noAME x\n")[0].prime == 2
+    assert all(cell.status == CELL_UNKNOWN for cell in table.cells.values())
+
+
 def test_load_facts_rejects_malformed():
     with pytest.raises(FactsError, match="line 2"):
         load_facts("4 2 noAME ok\n4 2\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    crt_unitary,
     dense_matrix,
     project_pauli,
     random_graph_group,
@@ -250,8 +251,6 @@ def _embedded_sector_matrix(p6, f, i):
     a factor-i component element is kron(I_before, op, I_after); dividing out
     the identity factors recovers op.
     """
-    from stabame.ame import crt_unitary
-
     perm = crt_unitary(f)
     d = f.dimension
     u = np.zeros((d, d))

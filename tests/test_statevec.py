@@ -7,12 +7,15 @@ from conftest import (
     apply_local_unitary,
     apply_pauli,
     basis_state,
+    crt_unitary,
     haar_unitary,
+    permute_levels,
     random_graph_group,
     random_pauli,
     seed_projections,
     single_site,
     states_equal,
+    tensor,
     unimodular_mix,
 )
 from enumeration import enumerate_elements
@@ -20,7 +23,7 @@ from stabame import statevec
 from stabame.errors import BudgetExceededError
 from stabame.pauli import make_pauli, multiply, power
 from stabame.search import GraphState, graph_to_group
-from stabame.ring import span_order_mod
+from stabame.ring import factorize, span_order_mod
 from stabame.stabgroup import (
     StabilizerGroup,
     bell_group,
@@ -31,12 +34,10 @@ from stabame.stabgroup import (
 from stabame.statevec import (
     DenseState,
     ReducedDensity,
+    crt_product,
     fidelity,
-    is_maximally_mixed,
-    permute_levels,
     reduced_density,
     state_from_group,
-    tensor,
     verify_ame_dense,
 )
 
@@ -388,19 +389,19 @@ def test_verify_ame_dense_worst_subset_ignores_roundoff():
         assert abs(shaken.worst_deviation - report.worst_deviation) < 1e-12
 
 
-def test_is_maximally_mixed():
+def test_verify_ame_dense_deviation_from_maximally_mixed():
     st = state_from_group(bell_group(2))
-    eye4 = reduced_density(tensor([st, st]), [0])  # I_4 / 4 over D=4
-    report = is_maximally_mixed(eye4, 1e-9)
-    assert report.verdict and report.max_deviation < 1e-12
+    report = verify_ame_dense(tensor([st, st]))  # rho on party 0 is I_4 / 4 over D=4
+    assert report.is_ame and report.worst_deviation < 1e-12
 
-    pure = reduced_density(basis_state(3, 1, 0), [0])
-    report = is_maximally_mixed(pure, 1e-9)
-    assert not report.verdict
-    assert abs(report.max_deviation - (1 - 1 / 3)) < 1e-12
+    report = verify_ame_dense(basis_state(3, 2, 0))  # rho on party 0 is |0><0|
+    assert not report.is_ame
+    assert abs(report.worst_deviation - (1 - 1 / 3)) < 1e-12
+    # the verdict is the deviation against tol, boundary included
+    assert verify_ame_dense(basis_state(3, 2, 0), tol=1 - 1 / 3 + 1e-12).is_ame
 
-    bell_red = reduced_density(st, [1])
-    assert is_maximally_mixed(bell_red, 1e-9).verdict
+    report = verify_ame_dense(st)
+    assert report.is_ame and report.worst_deviation < 1e-12
 
 
 def test_verify_ame_dense_examples():
@@ -413,13 +414,16 @@ def test_verify_ame_dense_examples():
 
 
 def test_tensor_product_states():
-    st = tensor([basis_state(2, 1, 0), basis_state(3, 1, 0)])
+    st = crt_product([basis_state(2, 1, 0), basis_state(3, 1, 0)])
     assert st.dimension == 6
     assert abs(st.amplitudes[0] - 1) < 1e-12
+    # |1> over Z_2 and |2> over Z_3 meet at j = 5 of Z_6 (5 mod 2 = 1, 5 mod 3 = 2)
+    st = crt_product([basis_state(2, 1, 1), basis_state(3, 1, 2)])
+    assert abs(st.amplitudes[5] - 1) < 1e-12
 
 
 def test_tensor_of_bell_pairs_is_ame_2_6():
-    st = tensor([state_from_group(bell_group(2)), state_from_group(bell_group(3))])
+    st = crt_product([state_from_group(bell_group(2)), state_from_group(bell_group(3))])
     report = verify_ame_dense(st)
     assert report.is_ame
     assert report.worst_deviation < 1e-12
@@ -484,14 +488,14 @@ def test_tensor_is_ame_iff_every_factor_is():
         assert verify_ame_dense(ame_2).is_ame
         assert verify_ame_dense(ame_3).is_ame
         assert not verify_ame_dense(not_ame_3).is_ame
-        assert verify_ame_dense(tensor([ame_2, ame_3])).is_ame
-        assert not verify_ame_dense(tensor([ame_2, not_ame_3])).is_ame
-        assert not verify_ame_dense(tensor([basis_state(2, n, 0), not_ame_3])).is_ame
+        assert verify_ame_dense(crt_product([ame_2, ame_3])).is_ame
+        assert not verify_ame_dense(crt_product([ame_2, not_ame_3])).is_ame
+        assert not verify_ame_dense(crt_product([basis_state(2, n, 0), not_ame_3])).is_ame
 
 
 def test_local_unitary_invariance_of_ame_verdict():
     rng = np.random.default_rng(57)
-    st = tensor([state_from_group(bell_group(2)), state_from_group(bell_group(3))])
+    st = crt_product([state_from_group(bell_group(2)), state_from_group(bell_group(3))])
     for _ in range(5):
         units = [haar_unitary(6, rng) for _ in range(2)]
         rotated = apply_local_unitary(st, units)
@@ -528,6 +532,55 @@ def test_permute_levels_roundtrip():
         inverse[t] = j
     back = permute_levels(permute_levels(st, perm), inverse)
     assert np.abs(back.amplitudes - st.amplitudes).max() < 1e-12
+
+
+def _random_state(rng: np.random.Generator, d: int, n: int) -> DenseState:
+    amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+    return DenseState(d, n, amps / np.linalg.norm(amps))
+
+
+def test_crt_product_is_the_relabeled_tensor_bit_for_bit():
+    # amplitude at (j_1..j_n) is prod_i psi_i(j_1 mod q_i, ..., j_n mod q_i):
+    # the factor-digit tensor with every party's digit relabeled by the CRT
+    rng = np.random.default_rng(151)
+    cases = 0
+    for dim in (6, 10, 12, 15, 30, 60, 210):
+        f = factorize(dim)
+        relabel = np.argsort(crt_unitary(f))
+        for n in (1, 2, 3):
+            if dim**n > 10**5:
+                continue
+            for _ in range(5):
+                states = [_random_state(rng, q, n) for q in f.prime_powers]
+                got = crt_product(states)
+                want = permute_levels(tensor(states), relabel)
+                assert (got.dimension, got.parties) == (dim, n)
+                assert np.array_equal(got.amplitudes, want.amplitudes)
+                cases += 1
+    assert cases == 95
+
+
+def test_crt_product_rejects_bad_factor_lists():
+    with pytest.raises(ValueError, match="at least one state"):
+        crt_product([])
+    with pytest.raises(ValueError, match="party count"):
+        crt_product([basis_state(2, 2, 0), basis_state(3, 3, 0)])
+    with pytest.raises(ValueError, match="not pairwise coprime"):
+        crt_product([basis_state(2, 2, 0), basis_state(4, 2, 0)])
+    with pytest.raises(ValueError, match="not pairwise coprime"):
+        crt_product([basis_state(6, 1, 0), basis_state(10, 1, 0)])
+
+
+@pytest.mark.parametrize("dim", [65536, 99991, 100000])
+def test_state_from_group_phases_stay_exact_near_the_budget(dim):
+    # lam**gamma X**(D-1) Z**(D-1) on one party, gamma = 1 - D mod 2 for a
+    # consistent phase: unreduced, the phase exponent t (gamma - (t-1) z.x)
+    # grows to about D**4, past int64 for D near 10**5
+    gen = make_pauli(dim, 1, 1 - dim % 2, [dim - 1], [dim - 1])
+    g = StabilizerGroup(dim, 1, (gen,))
+    assert validate(g).stabilizes_unique_state
+    vec = state_from_group(g).amplitudes
+    assert np.abs(apply_pauli(gen, vec) - vec).max() < 1e-9
 
 
 def test_fidelity_global_phase():
