@@ -138,14 +138,13 @@ def propagate(
     positive: dict[tuple[int, int], KnownFact] = {}
     for fact in facts:
         key = (fact.parties, fact.local_dim)
-        table = negative if fact.negative else positive
-        if key in (positive if fact.negative else negative):
-            other = (positive if fact.negative else negative)[key]
+        same, other = (negative, positive) if fact.negative else (positive, negative)
+        if key in other:
             raise FactsError(
                 f"conflicting facts for (n={key[0]}, q={key[1]}): "
-                f"{fact.status} [{fact.source}] vs {other.status} [{other.source}]"
+                f"{fact.status} [{fact.source}] vs {other[key].status} [{other[key].source}]"
             )
-        table.setdefault(key, fact)
+        same.setdefault(key, fact)
 
     unknown = Cell(CELL_UNKNOWN)
     cells = {
@@ -153,18 +152,14 @@ def propagate(
     }
     # Facts in increasing-prime order, so each cell gets its reasons in the
     # order of its factors. D // q % p != 0 says the q-part of D is q itself.
-    reasons: dict[tuple[int, int], list[str]] = {}
-    by_prime = sorted((fact.prime, n, q) for (n, q), fact in negative.items())
-    for p, n, q in by_prime:
+    for fact in sorted(negative.values(), key=lambda f: f.prime):
+        n, q = fact.parties, fact.local_dim
         if n > max_parties:
             continue
-        fact = negative[(n, q)]
         reason = f"factor q={q} [{fact.source or fact.status}]"
         for dim in range(q, max_dim + 1, q):
-            if (dim // q) % p:
-                reasons.setdefault((n, dim), []).append(reason)
-    for key, found in reasons.items():
-        cells[key] = Cell(CELL_EXCLUDED, tuple(found))
+            if (dim // q) % fact.prime:
+                cells[n, dim] = Cell(CELL_EXCLUDED, cells[n, dim].detail + (reason,))
     for key, pos in positive.items():
         if key in cells:
             cells[key] = Cell(CELL_WITNESS, (pos.source or pos.status,))

@@ -11,7 +11,8 @@ of A[S, S^c] have gcd 1. This is Helwig's qudit graph-state criterion
 (2013), generalized from prime d to Z_d. Note that no single minor need be a
 unit mod d, only their gcd with d must be 1.
 
-The search decodes chunks of candidates into numpy arrays and computes every
+The search decodes chunks of candidates into numpy arrays, the digits of the
+chunk's first index plus a carried offset per row, and computes every
 maximal minor exactly, by cofactor expansion with a reduction mod d after
 every product. A witness is a :class:`GraphState` built straight from its
 decoded row, since a graph is stored as its upper triangle. The
@@ -47,9 +48,6 @@ CHUNK_ELEMENTS = 1 << 18
 # Up to this d a product of two residues fits in int64; above it the minors
 # are computed on Python ints (numpy object arrays).
 INT64_DIMENSION_LIMIT = 1 << 31
-# Index offsets inside a block of at most this many candidates are decoded in
-# int64; the digits above the block come from Python ints.
-INT64_BLOCK_LIMIT = 1 << 62
 
 
 def graph_search_is_complete(dimension: int) -> bool:
@@ -83,6 +81,10 @@ class GraphState:
     upper: tuple[int, ...]
 
     def __post_init__(self):
+        if self.parties < 1:
+            raise ValueError(f"parties must be >= 1, got {self.parties}")
+        if self.dimension < 2:
+            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
         slots = num_edge_slots(self.parties)
         if len(self.upper) != slots:
             raise ValueError(f"expected {slots} entries, got {len(self.upper)}")
@@ -177,24 +179,24 @@ def _minor_plan(parties: int) -> _MinorPlan:
 
 
 def _candidate_digits(
-    dimension: int, slots: int, low: int, first: int, stop: int, dtype
+    dimension: int, slots: int, first: int, count: int, dtype
 ) -> np.ndarray:
-    """Upper-triangle entries of candidates ``first .. stop-1``, one row each.
+    """Upper-triangle entries of candidates ``first .. first+count-1``, one row each.
 
-    The last ``low`` digits are decoded from the offset inside a block of
-    d**low candidates in int64. The range lies inside one block, so the
-    leading digits are shared and decoded with Python ints: indices past
-    int64 decode exactly.
+    Every row starts as the digits of ``first``, taken with Python ints so that
+    indices past int64 decode exactly. The offsets 0..count-1 are then added
+    from the last digit up with a carry, which stops at the first digit that
+    no carry reaches.
     """
-    block, offset = divmod(first, dimension**low)
-    digits = np.empty((stop - first, slots), dtype=dtype)
-    digits[:, : slots - low] = [
-        block // dimension**p % dimension for p in range(slots - low - 1, -1, -1)
-    ]
-    if low:  # zero when n = 1 or d > INT64_BLOCK_LIMIT
-        offsets = offset + np.arange(stop - first, dtype=np.int64)
-        powers = np.array([dimension**p for p in range(low - 1, -1, -1)], dtype=np.int64)
-        digits[:, slots - low :] = offsets[:, None] // powers % dimension
+    digits = np.empty((count, slots), dtype=dtype)
+    digits[:] = [first // dimension**p % dimension for p in range(slots - 1, -1, -1)]
+    carry = np.arange(count)
+    for s in range(slots - 1, -1, -1):
+        if not carry.any():
+            break
+        carry = digits[:, s] + carry
+        digits[:, s] = carry % dimension
+        carry //= dimension
     return digits
 
 
@@ -243,15 +245,11 @@ def search_ame(
     plan = _minor_plan(parties)
     chunk = max(1, min(MAX_CHUNK, CHUNK_ELEMENTS // plan.width))
     dtype = np.int64 if dimension <= INT64_DIMENSION_LIMIT else object
-    low = 0
-    while low < slots and dimension ** (low + 1) <= INT64_BLOCK_LIMIT:
-        low += 1
-    block = dimension**low
     found = []
     first = start
     while first < end:
-        stop = min(end, first + chunk, (first // block + 1) * block)
-        digits = _candidate_digits(dimension, slots, low, first, stop, dtype)
+        stop = min(end, first + chunk)
+        digits = _candidate_digits(dimension, slots, first, stop - first, dtype)
         mask = _ame_mask(digits, dimension, plan)
         if mode == "first" and mask.any():
             hit = int(np.argmax(mask))

@@ -212,8 +212,6 @@ def ghz_group(dimension: int, parties: int) -> StabilizerGroup:
 
     Generators: X on every site, and Z_k Z_{k+1}^{-1} for consecutive pairs.
     """
-    if parties < 1:
-        raise ValueError("parties must be >= 1")
     gens = [make_pauli(dimension, parties, 0, [1] * parties, None)]
     for k in range(parties - 1):
         z = [0] * parties

@@ -1,4 +1,4 @@
-"""Every public function, method, class and class field of the package is read in the package.
+"""Every public function, method, class, class field and module constant is read in the package.
 
 Code that only the tests call belongs in ``tests/`` (see ``conftest.py``),
 and an exception or record type that nothing raises, catches or builds is
@@ -59,4 +59,24 @@ def test_every_class_field_is_read_in_the_package():
                 read.add(node.attr)
     assert "StabilizerGroup.generators" in fields
     unread = {name: where for name, where in fields.items() if name.split(".")[1] not in read}
+    assert unread == {}
+
+
+def test_every_module_constant_is_read_in_the_package():
+    constants, read = {}, set()
+    for path in sorted(Path(stabame.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id.isupper():
+                        constants[target.id] = f"{path.name}:{stmt.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert {"MAX_CHUNK", "NORM_TOL"} <= constants.keys()
+    unread = {name: where for name, where in constants.items() if name not in read}
     assert unread == {}

@@ -70,7 +70,7 @@ def test_construct_bell_rejects_other_party_counts(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_construct_graph_from_search_witness(tmp_path):
+def test_construct_graph_from_search_witness(tmp_path, capsys):
     from stabame.search import format_witness_line, search_ame
 
     witness = search_ame(4, 3, mode="first").found[0]
@@ -82,6 +82,8 @@ def test_construct_graph_from_search_witness(tmp_path):
     ) == 0
     assert run(["verify", str(gens), "--method", "both", "--out", str(tmp_path / "rep.txt")]) == 0
     assert format_witness_line(witness).endswith(upper)
+    assert run(["construct", "graph", "--dim", "3", "--parties", "4"]) == 1
+    assert "error: graph requires --adjacency" in capsys.readouterr().err
 
 
 def test_verify_exit_codes(tmp_path):
@@ -304,7 +306,7 @@ def test_a_dimension_past_the_factorization_bound_is_an_error(tmp_path, capsys):
     assert f"error: line 1: cannot factor dimension {dim}" in capsys.readouterr().err
 
 
-def test_search_cli_exhaustive_and_shard(tmp_path):
+def test_search_cli_exhaustive_and_shard(tmp_path, capsys):
     out = tmp_path / "s42.txt"
     assert run(["search", "--parties", "4", "--dim", "2", "--out", str(out)]) == 0
     assert out.read_text() == (
@@ -316,6 +318,9 @@ def test_search_cli_exhaustive_and_shard(tmp_path):
         ["search", "--parties", "2", "--dim", "3", "--shard", "0:2", "--out", str(shard)]
     ) == 0
     assert "PARTIAL n=2 d=3 searched=2" in shard.read_text()
+    for spec in ("5", "a:b", "1:2:3"):
+        assert run(["search", "--parties", "2", "--dim", "3", "--shard", spec]) == 1
+        assert capsys.readouterr().err == f"error: bad shard spec {spec!r}; expected start:end\n"
 
 
 def test_search_cli_first_witness(tmp_path):

@@ -63,6 +63,8 @@ def test_load_facts_rejects_malformed():
         load_facts("4 two noAME x\n")
     with pytest.raises(FactsError):
         load_facts("4 2 maybe x\n")
+    with pytest.raises(FactsError, match="line 1: parties must be >= 2, got 1"):
+        load_facts("1 2 noAME x\n")
 
 
 def test_load_facts_rejects_status_conflict():

@@ -242,3 +242,5 @@ def test_constructor_validation():
         PauliProduct(2, 1, 0, (2,), (0,))
     with pytest.raises(ValueError):
         PauliProduct(2, 2, 0, (0,), (0, 0))
+    with pytest.raises(ValueError, match="z exponent 3 out of range"):
+        PauliProduct(3, 1, 0, (0,), (3,))

@@ -97,6 +97,10 @@ def test_factorization_type_rejects_inconsistency():
         PrimePowerFactorization(6, ((3, 1, 3), (2, 1, 2)))  # wrong prime order
     with pytest.raises(ValueError):
         PrimePowerFactorization(6, ((2, 1, 2),))  # product mismatch
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        PrimePowerFactorization(1, ())
+    with pytest.raises(ValueError, match=r"inconsistent factor \(2, 1, 4\)"):
+        PrimePowerFactorization(4, ((2, 1, 4),))
 
 
 def test_crt_split_examples():

@@ -34,6 +34,17 @@ def test_graph_state_validation():
     assert graph.adjacency == ((0, 1, 2), (1, 0, 0), (2, 0, 0))
 
 
+def test_witness_lines_need_a_graph():
+    # once parsed: a 0-party graph, a graph over Z_1 and one of -1 parties
+    for line, message in (
+        ("0 2 :", "parties must be >= 1, got 0"),
+        ("3 1 : 0 0 0", "dimension must be >= 2, got 1"),
+        ("-1 2 : 0", "parties must be >= 1, got -1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_witness_line(line)
+
+
 def test_graph_to_group_empty_graph_stabilizes_plus_states():
     g = graph_to_group(GraphState(2, 2, (0,)))
     assert validate(g).stabilizes_unique_state
@@ -239,7 +250,7 @@ def test_witness_whose_minors_are_not_units():
     "parties, dimension, start, end",
     [
         (8, 5, 5**28 - 2, 5**28),  # the top of a space past int64
-        (8, 5, 5**26 - 3, 5**26 + 3),  # crosses a block of int64-decoded offsets
+        (8, 5, 5**26 - 3, 5**26 + 3),  # a carry through every low digit
         (2, 2**64 + 13, 0, 3),  # no digit fits int64
     ],
 )
@@ -247,6 +258,24 @@ def test_search_is_exact_past_int64(parties, dimension, start, end):
     result = search_ame(parties, dimension, shard=(start, end))
     assert result.searched == end - start
     assert result.found == _symbolic_witnesses(parties, dimension, start, end)
+
+
+@pytest.mark.parametrize(
+    "parties, dimension",
+    [(3, 2), (5, 6), (8, 5), (10, 3), (4, 2**31 - 1), (4, 2**40 + 15), (2, 2**64 + 13)],
+)
+def test_candidate_digits_match_the_scalar_decoder(parties, dimension):
+    # a range that starts just below d^k - 1 carries through its k low digits
+    rng = random.Random(parties)
+    slots = num_edge_slots(parties)
+    dtype = np.int64 if dimension <= search.INT64_DIMENSION_LIMIT else object
+    for k in range(1, slots + 1):
+        first = dimension**k - 1 - rng.randrange(min(dimension**k, 5))
+        count = min(rng.randrange(1, 40), dimension**slots - first)
+        digits = search._candidate_digits(dimension, slots, first, count, dtype)
+        assert digits.dtype == dtype
+        graphs = (graph_from_index(dimension, parties, i) for i in range(first, first + count))
+        assert digits.tolist() == [list(g.upper) for g in graphs]
 
 
 @pytest.mark.parametrize("dimension", [2**31 - 1, 2**40 + 15])
@@ -298,9 +327,9 @@ def test_search_builds_witnesses_from_the_decoded_rows(monkeypatch):
     decoded = []
     real = search._candidate_digits
 
-    def counted(dimension, slots, low, first, stop, dtype):
-        decoded.append((first, stop))
-        return real(dimension, slots, low, first, stop, dtype)
+    def counted(dimension, slots, first, count, dtype):
+        decoded.append((first, first + count))
+        return real(dimension, slots, first, count, dtype)
 
     monkeypatch.setattr(search, "_candidate_digits", counted)
     monkeypatch.setattr(search, "MAX_CHUNK", 7)

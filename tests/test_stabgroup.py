@@ -81,6 +81,8 @@ def test_group_constructor_rejects_bad_sizes():
     for dim, parties in ((1, 2), (0, 1), (-3, 1), (2, 0), (2, -1)):
         with pytest.raises(ValueError):
             StabilizerGroup(dim, parties, ())
+    with pytest.raises(ValueError, match="parties must be >= 1, got 0"):
+        ghz_group(2, 0)
 
 
 def test_validity_is_computed_once_per_group(monkeypatch):
@@ -400,3 +402,5 @@ def test_generator_file_rejects_malformed():
         parse_generator_file("0 1 0\n")  # dimension below 2
     with pytest.raises(ValueError):
         parse_generator_file("0 1 1\n0 | 1 | 0\n")  # checked before any mod 0
+    with pytest.raises(ValueError, match="bad header line"):
+        parse_generator_file("2 x 1\n0 | 1 | 0\n")

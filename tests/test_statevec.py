@@ -45,7 +45,21 @@ from stabame.statevec import (
 def test_dense_state_requires_normalization():
     with pytest.raises(ValueError):
         DenseState(2, 1, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="expected 2 amplitudes"):
+        DenseState(2, 1, np.array([1.0, 0.0, 0.0]))
     DenseState(2, 1, np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("scale", [1 - 0.9e-9, 1 + 0.9e-9, 1 - 0.45e-9, 1 + 0.45e-9])
+def test_a_dense_state_that_constructs_also_verifies(scale):
+    # once: |norm - 1| = 9e-10 passed DenseState, yet every reduced trace,
+    # norm^2, was 1.8e-9 from 1 and verify_ame_dense raised
+    amplitudes = scale * state_from_group(bell_group(2)).amplitudes
+    if abs(scale - 1) > 0.5e-9:
+        with pytest.raises(ValueError, match="not normalized"):
+            DenseState(2, 2, amplitudes)
+    else:
+        assert verify_ame_dense(DenseState(2, 2, amplitudes)).is_ame
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -588,3 +602,5 @@ def test_fidelity_global_phase():
     shifted = DenseState(2, 2, np.exp(0.7j) * st.amplitudes)
     assert states_equal(st, shifted)
     assert abs(fidelity(st, shifted) - 1) < 1e-12
+    with pytest.raises(ValueError, match="different systems"):
+        fidelity(st, state_from_group(bell_group(3)))
