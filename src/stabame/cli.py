@@ -6,6 +6,11 @@ the inputs; nothing is written to stderr on success.
 
 verify exit codes: 0 = AME, 1 = not AME, 2 = input is not a stabilizer-state
 group. Other subcommands: 0 on success. Every error, usage errors too, exits 1.
+
+Each call builds a fresh parser. When the first argument names a subcommand,
+only that subcommand is built, since the others cannot take part in parsing;
+anything else (no arguments, ``--help``, an unknown name) gets the parser with
+all five, so top-level help and errors read the same either way.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from .stabgroup import (
     parse_generator_file,
     validate,
 )
+
+
+COMMANDS = ("construct", "verify", "decompose", "search", "nogo")
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -134,62 +142,78 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The stabame parser with every subcommand, or with only ``command``.
+
+    The usage line lists every name in COMMANDS either way. The metavar that
+    keeps it so is set only on the narrowed parser, since on the full one it
+    would also rename ``argument command`` in its usage errors.
+    """
     parser = argparse.ArgumentParser(
         prog="stabame",
         description="Qudit stabilizer toolkit: AME verification, prime-power "
         "decomposition, graph-state search, and no-go tables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    names = COMMANDS if command is None else (command,)
 
-    p = sub.add_parser("construct", help="emit a generator file for a standard state")
-    p.add_argument("kind", choices=["ghz", "bell", "graph"])
-    p.add_argument("--dim", type=int, required=True, help="local dimension D")
-    p.add_argument("--parties", type=int, default=2, help="number of parties n")
-    p.add_argument("--adjacency", help="upper-triangle entries, space separated (graph)")
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=cmd_construct)
+    if "construct" in names:
+        p = sub.add_parser("construct", help="emit a generator file for a standard state")
+        p.add_argument("kind", choices=["ghz", "bell", "graph"])
+        p.add_argument("--dim", type=int, required=True, help="local dimension D")
+        p.add_argument("--parties", type=int, default=2, help="number of parties n")
+        p.add_argument("--adjacency", help="upper-triangle entries, space separated (graph)")
+        p.add_argument("--out", help="output file (default: stdout)")
+        p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check whether a generator file is AME")
-    p.add_argument("gens", help="generator file")
-    p.add_argument("--method", choices=["symbolic", "dense", "both"], default="symbolic")
-    p.add_argument("--tol", type=float, default=1e-9, help="dense tolerance (default 1e-9)")
-    p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
-    p.add_argument("--out", help="report file (default: stdout)")
-    p.set_defaults(func=cmd_verify)
+    if "verify" in names:
+        p = sub.add_parser("verify", help="check whether a generator file is AME")
+        p.add_argument("gens", help="generator file")
+        p.add_argument("--method", choices=["symbolic", "dense", "both"], default="symbolic")
+        p.add_argument("--tol", type=float, default=1e-9, help="dense tolerance (default 1e-9)")
+        p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
+        p.add_argument("--out", help="report file (default: stdout)")
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decompose", help="split a composite-D group into prime-power factors")
-    p.add_argument("gens", help="generator file")
-    p.add_argument("--verify", dest="verify", action="store_true", default=True)
-    p.add_argument("--no-verify", dest="verify", action="store_false",
-                   help="skip the per-factor AME verdict lines")
-    p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
-    p.add_argument("--out", help="report file (default: stdout)")
-    p.set_defaults(func=cmd_decompose)
+    if "decompose" in names:
+        p = sub.add_parser("decompose", help="split a composite-D group into prime-power factors")
+        p.add_argument("gens", help="generator file")
+        p.add_argument("--verify", dest="verify", action="store_true", default=True)
+        p.add_argument("--no-verify", dest="verify", action="store_false",
+                       help="skip the per-factor AME verdict lines")
+        p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
+        p.add_argument("--out", help="report file (default: stdout)")
+        p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("search", help="exhaustive graph-state AME search at (n, d)")
-    p.add_argument("--parties", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--mode", choices=["first", "exhaustive"], default="exhaustive")
-    p.add_argument("--shard", help="candidate index range start:end")
-    p.add_argument("--search-budget", type=int, default=search.DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--out", help="witness/certificate file (default: stdout)")
-    p.set_defaults(func=cmd_search)
+    if "search" in names:
+        p = sub.add_parser("search", help="exhaustive graph-state AME search at (n, d)")
+        p.add_argument("--parties", type=int, required=True)
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--mode", choices=["first", "exhaustive"], default="exhaustive")
+        p.add_argument("--shard", help="candidate index range start:end")
+        p.add_argument("--search-budget", type=int, default=search.DEFAULT_SEARCH_BUDGET)
+        p.add_argument("--out", help="witness/certificate file (default: stdout)")
+        p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("nogo", help="emit the (n, D) stabilizer-AME exclusion table")
-    p.add_argument("--facts", help="facts file (default: the shipped base fact)")
-    p.add_argument("--max-parties", type=int, default=nogo.DEFAULT_MAX_PARTIES)
-    p.add_argument("--max-dim", type=int, default=nogo.DEFAULT_MAX_DIM)
-    p.add_argument("--format", choices=["csv", "svg"], default="csv")
-    p.add_argument("--out", help="table file (default: stdout)")
-    p.set_defaults(func=cmd_nogo)
+    if "nogo" in names:
+        p = sub.add_parser("nogo", help="emit the (n, D) stabilizer-AME exclusion table")
+        p.add_argument("--facts", help="facts file (default: the shipped base fact)")
+        p.add_argument("--max-parties", type=int, default=nogo.DEFAULT_MAX_PARTIES)
+        p.add_argument("--max-dim", type=int, default=nogo.DEFAULT_MAX_DIM)
+        p.add_argument("--format", choices=["csv", "svg"], default="csv")
+        p.add_argument("--out", help="table file (default: stdout)")
+        p.set_defaults(func=cmd_nogo)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse printed --help (0) or a usage error
         return 0 if exc.code == 0 else 1
     try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import ring
-from .errors import FactsError
+from .errors import BudgetExceededError, FactsError
 
 STATUS_NO_AME = "noAME"
 STATUS_NO_STAB_AME = "noStabAME"
@@ -36,6 +36,8 @@ CELL_UNKNOWN = "unknown"
 
 DEFAULT_MAX_PARTIES = 8
 DEFAULT_MAX_DIM = 36
+# Most (n, D) cells one table may hold; each takes about 200 bytes.
+MAX_GRID_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -128,12 +130,16 @@ def propagate(
     and witnessed: a positive fact sits at a prime power q = p**e, and the
     only non-existence fact that marks (n, q) is one at (n, q') whose q' is
     the full p-part of q, that is q' = q, the conflicting pair itself. The
-    grid starts at n = 2 and D = 2, so a bound below 2 is refused.
+    grid starts at n = 2 and D = 2, so a bound below 2 is refused, and so is
+    a grid of more than MAX_GRID_CELLS cells, before any cell is built.
     """
     if max_parties < 2 or max_dim < 2:
         raise ValueError(
             f"grid bounds must be >= 2, got max_parties={max_parties}, max_dim={max_dim}"
         )
+    size = (max_parties - 1) * (max_dim - 1)
+    if size > MAX_GRID_CELLS:
+        raise BudgetExceededError(f"{size} grid cells exceed the budget of {MAX_GRID_CELLS}")
     negative: dict[tuple[int, int], KnownFact] = {}
     positive: dict[tuple[int, int], KnownFact] = {}
     for fact in facts:

@@ -199,9 +199,17 @@ def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
 
 
 def check_tolerance(tol: float) -> None:
-    """Refuse a NaN, infinite or negative tolerance."""
+    """Refuse a NaN, infinite or negative tolerance, and one below ALGEBRA_TOL.
+
+    Float roundoff leaves an exactly maximally mixed reduction about 1e-16
+    away from I/r, so a smaller tolerance would call an AME state non-AME.
+    """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+    if tol < ALGEBRA_TOL:
+        raise ValueError(
+            f"tolerance {tol} is below float resolution; it must be >= {ALGEBRA_TOL}"
+        )
 
 
 def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> AmeVerdict:

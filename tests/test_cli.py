@@ -11,7 +11,7 @@ import pytest
 import stabame
 from conftest import crt_combine, random_graph, random_graph_group, random_pauli, unimodular_mix
 from stabame.ame import verify_ame_symbolic
-from stabame.cli import main
+from stabame.cli import COMMANDS, build_parser, main
 from stabame.pauli import multiply, power
 from stabame.ring import factorize
 from stabame.search import GraphState, graph_to_group
@@ -125,21 +125,33 @@ def test_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+MALFORMED_TOL = "tolerance must be finite and non-negative"
+TOL_ERRORS = {
+    "nan": MALFORMED_TOL,
+    "-1": MALFORMED_TOL,
+    "inf": MALFORMED_TOL,
+    "-inf": MALFORMED_TOL,
+    "0": "tolerance 0.0 is below float resolution; it must be >= 1e-12",
+    "1e-13": "tolerance 1e-13 is below float resolution; it must be >= 1e-12",
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "0", "1e-13"])
 @pytest.mark.parametrize("method", ["symbolic", "dense", "both"])
 def test_verify_rejects_a_malformed_tolerance(tmp_path, capsys, tol, method):
     # once: --method dense --tol nan or -1 reported "ame=no" on the Bell state
-    # over Z_3 (exit 1), and --tol inf called any state AME
+    # over Z_3 (exit 1), and --tol inf called any state AME; --tol 0 reported
+    # "ame=no worst-deviation=1.110e-16", and --method both called it a bug
     gens = tmp_path / "bell.gens"
     gens.write_text("3 2 2\n0 | 1 1 | 0 0\n0 | 0 0 | 1 2\n")
     report = tmp_path / "report.txt"
     argv = ["verify", str(gens), "--method", method, f"--tol={tol}", "--out", str(report)]
     assert run(argv) == 1
-    assert "error: tolerance must be finite and non-negative" in capsys.readouterr().err
+    assert f"error: {TOL_ERRORS[tol]}" in capsys.readouterr().err
     assert not report.exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0", "1e-13"])
 def test_verify_checks_the_tolerance_before_validation(tmp_path, capsys, tol):
     # once: a group that is not a stabilizer state got its validate report and
     # exit 2 whatever --tol said
@@ -147,7 +159,7 @@ def test_verify_checks_the_tolerance_before_validation(tmp_path, capsys, tol):
     gens.write_text("2 2 2\n0 | 1 1 | 0 0\n0 | 0 1 | 1 0\n")
     report = tmp_path / "report.txt"
     assert run(["verify", str(gens), f"--tol={tol}", "--out", str(report)]) == 1
-    assert "error: tolerance must be finite and non-negative" in capsys.readouterr().err
+    assert f"error: {TOL_ERRORS[tol]}" in capsys.readouterr().err
     assert not report.exists()
     assert run(["verify", str(gens), "--out", str(report)]) == 2
 
@@ -157,6 +169,17 @@ def test_nogo_rejects_grid_bounds_below_2(tmp_path, capsys, bound):
     table = tmp_path / "table.csv"
     assert run(["nogo", bound, "1", "--out", str(table)]) == 1
     assert "error: grid bounds must be >= 2" in capsys.readouterr().err
+    assert not table.exists()
+
+
+def test_nogo_refuses_a_grid_past_its_cell_budget_at_once(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    start = time.perf_counter()
+    assert run(["nogo", "--max-dim", "100000000", "--out", str(table)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: 699999993 grid cells exceed the budget of 1000000\n"
+    )
     assert not table.exists()
 
 
@@ -229,6 +252,132 @@ def test_main_dispatches_through_the_module_names(monkeypatch):
     monkeypatch.setattr(cli, "cmd_nogo", lambda args: seen.append(args.command) or 0)
     assert run(["nogo"]) == 0
     assert seen == ["nogo"]
+
+
+# Argument lists for the narrowed-parser checks: each subcommand as the README
+# and the benchmark call it, help, and usage errors. GENS, FACTS and OUT stand
+# for files made in tmp_path.
+PARSER_CASES = [
+    ["construct", "ghz", "--dim", "6", "--parties", "3", "--out", "OUT"],
+    ["construct", "bell", "--dim", "3"],
+    ["construct", "graph", "--dim", "3", "--parties", "3", "--adjacency", "1 1 1"],
+    ["verify", "GENS"],
+    ["verify", "GENS", "--method", "dense", "--out", "OUT"],
+    ["verify", "GENS", "--method", "both", "--tol", "1e-6", "--dense-budget", "100"],
+    ["decompose", "GENS", "--out", "OUT"],
+    ["decompose", "GENS", "--no-verify", "--dense-budget", "10"],
+    ["search", "--parties", "3", "--dim", "2"],
+    ["search", "--parties", "4", "--dim", "3", "--mode", "first", "--shard", "0:40",
+     "--out", "OUT"],
+    ["search", "--parties", "4", "--dim", "2", "--mode", "exhaustive", "--search-budget", "9"],
+    ["nogo", "--format", "csv", "--out", "OUT"],
+    ["nogo", "--facts", "FACTS", "--format", "svg", "--max-parties", "5", "--max-dim", "9"],
+    ["--help"],
+    ["-h"],
+    ["construct", "--help"],
+    ["verify", "--help"],
+    ["decompose", "-h"],
+    ["search", "--help"],
+    ["nogo", "--help"],
+    ["search", "--parties", "3", "--dim", "2", "junk"],
+    ["verify", "GENS", "--bogus"],
+    ["search", "--parties", "4"],
+    ["verify"],
+    ["nogo", "--format", "pdf"],
+    ["search", "--parties", "x", "--dim", "2"],
+    ["bogus"],
+    ["bogus", "--help"],
+    ["--bogus"],
+    [],
+]
+
+
+def _case_argv(argv, tmp_path):
+    gens = tmp_path / "bell6.gens"
+    gens.write_text("6 2 2\n0 | 1 1 | 0 0\n0 | 0 0 | 1 5\n")
+    facts = tmp_path / "facts.txt"
+    facts.write_text("4 2 noStabAME shadow\n3 3 stabAMEExists witness\n")
+    paths = {"GENS": str(gens), "FACTS": str(facts), "OUT": str(tmp_path / "out.txt")}
+    return [paths.get(a, a) for a in argv]
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        namespace = vars(parser.parse_args(argv))
+        code = None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("columns", ["100", "40"])
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_narrowed_parser_parses_like_the_full_one(tmp_path, capsys, monkeypatch, argv,
+                                                      columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = _case_argv(argv, tmp_path)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    narrowed = _parse_outcome(build_parser(command), argv, capsys)
+    assert narrowed == _parse_outcome(build_parser(), argv, capsys)
+    assert narrowed[1] or narrowed[2] or narrowed[3]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_console_script_runs_like_the_full_parser(tmp_path, capsys, monkeypatch, argv):
+    import stabame.cli as cli
+
+    argv = _case_argv(argv, tmp_path)
+    out = tmp_path / "out.txt"
+    monkeypatch.setattr(sys, "argv", ["stabame", *argv])
+    outcomes = []
+    for build in (build_parser, lambda command=None: build_parser()):
+        monkeypatch.setattr(cli, "build_parser", build)
+        code = cli.main()
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err, out.exists() and out.read_text()))
+        out.unlink(missing_ok=True)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_top_level_usage_errors_name_the_command_argument(capsys):
+    assert run(["bogus"]) == 1
+    assert "stabame: error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert run([]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stabame [-h] {construct,verify,decompose,search,nogo} ...\n")
+    assert err.endswith("stabame: error: the following arguments are required: command\n")
+
+
+def test_main_builds_only_the_named_subcommand_and_no_cached_parser(monkeypatch):
+    import argparse
+
+    import stabame.cli as cli
+
+    added, built = [], []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted_add(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    def counted_build(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted_add)
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli, "cmd_search", lambda args: 0)
+    for _ in range(2):
+        added.clear()
+        assert run(["search", "--parties", "3", "--dim", "2"]) == 0
+        assert added == ["search"]
+    assert built == ["search", "search"]
+    for argv in (["--help"], ["bogus"]):
+        added.clear()
+        run(argv)
+        assert added == list(COMMANDS)
+    assert built == ["search", "search", None, None]
 
 
 def test_verify_report_contents(tmp_path, capsys):

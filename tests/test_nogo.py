@@ -4,7 +4,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from stabame.errors import FactsError
+from stabame import nogo
+from stabame.errors import BudgetExceededError, FactsError
 from stabame.nogo import (
     CELL_EXCLUDED,
     CELL_UNKNOWN,
@@ -187,6 +188,20 @@ def test_propagate_rejects_grid_bounds_below_2(max_parties, max_dim):
     # CSV reader could not read back
     with pytest.raises(ValueError, match="grid bounds must be >= 2"):
         propagate(default_facts(), max_parties=max_parties, max_dim=max_dim)
+
+
+def test_propagate_refuses_a_grid_past_its_cell_budget_before_building_a_cell(monkeypatch):
+    # once: propagate(default_facts(), 8, 50_000) built 349 993 cells (0.2 s,
+    # about 90 MB), so nogo --max-dim 100000000 asked for over 100 GB
+    built = []
+    monkeypatch.setattr(nogo, "Cell", lambda *a, **k: built.append(a))
+    with pytest.raises(BudgetExceededError, match="699999993 grid cells exceed the budget"):
+        propagate(default_facts(), 8, 100_000_000)
+    assert built == []
+    monkeypatch.setattr(nogo, "MAX_GRID_CELLS", 6)
+    assert len(propagate([], 3, 4).cells) == len(propagate([], 4, 3).cells) == 6
+    with pytest.raises(BudgetExceededError, match="8 grid cells exceed the budget of 6"):
+        propagate([], 3, 5)
 
 
 @pytest.mark.parametrize(

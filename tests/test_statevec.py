@@ -537,6 +537,15 @@ def test_verify_ame_dense_rejects_a_malformed_tolerance(tol):
         verify_ame_dense(state_from_group(bell_group(3)), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-13, np.nextafter(statevec.ALGEBRA_TOL, 0)])
+def test_verify_ame_dense_refuses_a_tolerance_below_float_resolution(tol):
+    # once: tol=0 called the Bell state over Z_3 non-AME, its deviation being 1.1e-16
+    state = state_from_group(bell_group(3))
+    with pytest.raises(ValueError, match="below float resolution; it must be >= 1e-12"):
+        verify_ame_dense(state, tol=tol)
+    assert verify_ame_dense(state, tol=statevec.ALGEBRA_TOL).is_ame
+
+
 def test_permute_levels_roundtrip():
     rng = np.random.default_rng(59)
     st = state_from_group(ghz_group(6, 2))
