@@ -40,6 +40,7 @@ from .stabgroup import (
 from .statevec import (
     DEFAULT_DENSE_BUDGET,
     AmeVerdict,
+    check_dense_budget,
     check_tolerance,
     crt_product,
     fidelity,
@@ -115,6 +116,7 @@ def verify_ame(
     if method not in ("symbolic", "dense", "both"):
         raise ValueError(f"unknown method {method!r}")
     check_tolerance(tol)
+    check_dense_budget(dense_budget)
     sym = verify_ame_symbolic(g) if method != "dense" else None
     if method == "symbolic":
         return sym
@@ -140,6 +142,7 @@ def decompose(
     their :func:`~stabame.statevec.crt_product` is checked against the input
     state with fidelity > 1 - 1e-9; a violation raises.
     """
+    check_dense_budget(dense_budget)
     report = validate(g)
     if not report.stabilizes_unique_state:
         raise ValueError("group does not stabilize a unique state")

@@ -8,9 +8,10 @@ verify exit codes: 0 = AME, 1 = not AME, 2 = input is not a stabilizer-state
 group. Other subcommands: 0 on success. Every error, usage errors too, exits 1.
 
 Each call builds a fresh parser. When the first argument names a subcommand,
-only that subcommand is built, since the others cannot take part in parsing;
-anything else (no arguments, ``--help``, an unknown name) gets the parser with
-all five, so top-level help and errors read the same either way.
+the rest is parsed by that subcommand's own parser, the one the full parser
+would hand it to; leftover arguments, and anything else (no arguments,
+``--help``, an unknown name), go to the full parser with all five, so help
+and errors read the same either way.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from .stabgroup import (
 )
 
 
-COMMANDS = ("construct", "verify", "decompose", "search", "nogo")
+# Subcommand names, in the order help lists them, with their one-line help.
+COMMANDS = {
+    "construct": "emit a generator file for a standard state",
+    "verify": "check whether a generator file is AME",
+    "decompose": "split a composite-D group into prime-power factors",
+    "search": "exhaustive graph-state AME search at (n, d)",
+    "nogo": "emit the (n, D) stabilizer-AME exclusion table",
+}
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -76,6 +84,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     statevec.check_tolerance(args.tol)
+    statevec.check_dense_budget(args.dense_budget)
     group = _read_group(args.gens)
     report = validate(group)
     lines = [
@@ -142,42 +151,23 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The stabame parser with every subcommand, or with only ``command``.
-
-    The usage line lists every name in COMMANDS either way. The metavar that
-    keeps it so is set only on the narrowed parser, since on the full one it
-    would also rename ``argument command`` in its usage errors.
-    """
-    parser = argparse.ArgumentParser(
-        prog="stabame",
-        description="Qudit stabilizer toolkit: AME verification, prime-power "
-        "decomposition, graph-state search, and no-go tables.",
-    )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    names = COMMANDS if command is None else (command,)
-
-    if "construct" in names:
-        p = sub.add_parser("construct", help="emit a generator file for a standard state")
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Add ``command``'s arguments to ``p``, and its handler as ``func``."""
+    if command == "construct":
         p.add_argument("kind", choices=["ghz", "bell", "graph"])
         p.add_argument("--dim", type=int, required=True, help="local dimension D")
         p.add_argument("--parties", type=int, default=2, help="number of parties n")
         p.add_argument("--adjacency", help="upper-triangle entries, space separated (graph)")
         p.add_argument("--out", help="output file (default: stdout)")
         p.set_defaults(func=cmd_construct)
-
-    if "verify" in names:
-        p = sub.add_parser("verify", help="check whether a generator file is AME")
+    elif command == "verify":
         p.add_argument("gens", help="generator file")
         p.add_argument("--method", choices=["symbolic", "dense", "both"], default="symbolic")
         p.add_argument("--tol", type=float, default=1e-9, help="dense tolerance (default 1e-9)")
         p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
         p.add_argument("--out", help="report file (default: stdout)")
         p.set_defaults(func=cmd_verify)
-
-    if "decompose" in names:
-        p = sub.add_parser("decompose", help="split a composite-D group into prime-power factors")
+    elif command == "decompose":
         p.add_argument("gens", help="generator file")
         p.add_argument("--verify", dest="verify", action="store_true", default=True)
         p.add_argument("--no-verify", dest="verify", action="store_false",
@@ -185,9 +175,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
         p.add_argument("--out", help="report file (default: stdout)")
         p.set_defaults(func=cmd_decompose)
-
-    if "search" in names:
-        p = sub.add_parser("search", help="exhaustive graph-state AME search at (n, d)")
+    elif command == "search":
         p.add_argument("--parties", type=int, required=True)
         p.add_argument("--dim", type=int, required=True)
         p.add_argument("--mode", choices=["first", "exhaustive"], default="exhaustive")
@@ -195,9 +183,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--search-budget", type=int, default=search.DEFAULT_SEARCH_BUDGET)
         p.add_argument("--out", help="witness/certificate file (default: stdout)")
         p.set_defaults(func=cmd_search)
-
-    if "nogo" in names:
-        p = sub.add_parser("nogo", help="emit the (n, D) stabilizer-AME exclusion table")
+    else:  # nogo
         p.add_argument("--facts", help="facts file (default: the shipped base fact)")
         p.add_argument("--max-parties", type=int, default=nogo.DEFAULT_MAX_PARTIES)
         p.add_argument("--max-dim", type=int, default=nogo.DEFAULT_MAX_DIM)
@@ -205,15 +191,49 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", help="table file (default: stdout)")
         p.set_defaults(func=cmd_nogo)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The stabame parser with every subcommand, or ``command``'s own parser.
+
+    ``command``'s own parser is the one the full parser hands that
+    subcommand's arguments to, with ``command`` as a default.
+    """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"stabame {command}")
+        _add_arguments(parser, command)
+        parser.set_defaults(command=command)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="stabame",
+        description="Qudit stabilizer toolkit: AME verification, prime-power "
+        "decomposition, graph-state search, and no-go tables.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser does, with the least parser that can.
+
+    A subcommand named by ``argv[0]`` parses the rest with its own parser.
+    Leftover arguments are the one error the full parser reports under its
+    own usage line, so for those, and for any other ``argv``, the full
+    parser parses ``argv`` itself.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:  # argparse printed --help (0) or a usage error
         return 0 if exc.code == 0 else 1
     try:

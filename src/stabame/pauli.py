@@ -69,6 +69,8 @@ def make_pauli(
     z_exp: Sequence[int] | None = None,
 ) -> PauliProduct:
     """Build a PauliProduct, reducing exponents into their canonical ranges."""
+    if dimension < 2:  # the reductions below would divide by it
+        raise ValueError(f"dimension must be >= 2, got {dimension}")
     x = tuple(int(v) % dimension for v in (x_exp if x_exp is not None else [0] * parties))
     z = tuple(int(v) % dimension for v in (z_exp if z_exp is not None else [0] * parties))
     return PauliProduct(dimension, parties, int(phase_exp) % (2 * dimension), x, z)

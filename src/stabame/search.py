@@ -22,12 +22,14 @@ symbolic verifier in :mod:`stabame.ame` reaches the same verdicts on
 Candidate order is row-major lexicographic on the upper-triangle entries,
 with the first entry most significant, so runs are reproducible and the
 space shards cleanly by index range. The search budget bounds the number of
-candidates an exhaustive run visits, that is the size of the shard.
+candidates an exhaustive run visits, that is the size of the shard, and
+MAX_PLAN_ENTRIES the minor plan that every run builds first.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -45,6 +47,11 @@ DEFAULT_SEARCH_BUDGET = 10**8
 # CHUNK_ELEMENTS entries and memory stays flat at large n.
 MAX_CHUNK = 4096
 CHUNK_ELEMENTS = 1 << 18
+# Most block entries (tested k-sets x k x (n - k)) a minor plan may hold, so
+# that the plan, built before the first candidate, stays small whatever the
+# budget or mode. n = 16 needs 411 840 entries and is the largest n admitted;
+# n = 17 needs 1 750 320.
+MAX_PLAN_ENTRIES = 10**6
 # Up to this d a product of two residues fits in int64; above it the minors
 # are computed on Python ints (numpy object arrays).
 INT64_DIMENSION_LIMIT = 1 << 31
@@ -144,6 +151,13 @@ class _MinorPlan:
     width: int  # entries per candidate in the largest array of the test
 
 
+def _plan_entries(parties: int) -> int:
+    """Block entries of ``_minor_plan(parties)``: tested k-sets x k x (n - k)."""
+    k = parties // 2
+    tested = math.comb(parties, k) // (2 if 2 * k == parties else 1)
+    return tested * k * (parties - k)
+
+
 @functools.cache
 def _minor_plan(parties: int) -> _MinorPlan:
     k = parties // 2
@@ -223,6 +237,8 @@ def search_ame(
     ``mode="exhaustive"`` visits every candidate of the shard range (default:
     the whole space) and refuses a range larger than ``search_budget``;
     ``mode="first"`` stops at the first witness and is not budget-gated.
+    Either mode refuses a negative budget, and a party count whose minor
+    plan would exceed MAX_PLAN_ENTRIES.
     ``searched`` counts the candidates up to and including the last one
     checked; ``exhausted`` is True only when the whole space was covered.
     """
@@ -232,6 +248,17 @@ def search_ame(
         raise ValueError(f"dimension must be >= 2, got {dimension}")
     if mode not in ("exhaustive", "first"):
         raise ValueError(f"unknown mode {mode!r}")
+    if search_budget < 0:
+        raise ValueError(f"search budget must be non-negative, got {search_budget}")
+    # The entries grow at least like 2**(n/2 - 1), so a larger n is refused
+    # without computing its binomial.
+    if (
+        parties > 2 * MAX_PLAN_ENTRIES.bit_length() + 1
+        or _plan_entries(parties) > MAX_PLAN_ENTRIES
+    ):
+        raise BudgetExceededError(
+            f"the search plan for {parties} parties exceeds {MAX_PLAN_ENTRIES} block entries"
+        )
     slots = num_edge_slots(parties)
     total = dimension**slots
     start, end = (0, total) if shard is None else shard

@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import ring
+from .errors import BudgetExceededError
 from .pauli import (
     PauliProduct,
     format_pauli,
@@ -25,6 +26,11 @@ from .pauli import (
     power,
     symplectic_inner,
 )
+
+
+# Most exponents (a phase, n X and n Z per generator) a constructed group may
+# hold: about 2 MB as a generator file, and GHZ up to n = 706.
+MAX_GROUP_EXPONENTS = 10**6
 
 
 def _check_size(dimension: int, parties: int) -> None:
@@ -211,7 +217,15 @@ def ghz_group(dimension: int, parties: int) -> StabilizerGroup:
     """Stabilizer group of the GHZ state (sum_j |j..j>)/sqrt(D).
 
     Generators: X on every site, and Z_k Z_{k+1}^{-1} for consecutive pairs.
+    A group of more than MAX_GROUP_EXPONENTS exponents is refused before any
+    generator is built.
     """
+    exponents = parties * (2 * parties + 1)
+    if exponents > MAX_GROUP_EXPONENTS:
+        raise BudgetExceededError(
+            f"GHZ at n={parties} holds {exponents} exponents, over the limit of "
+            f"{MAX_GROUP_EXPONENTS}"
+        )
     gens = [make_pauli(dimension, parties, 0, [1] * parties, None)]
     for k in range(parties - 1):
         z = [0] * parties

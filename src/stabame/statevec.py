@@ -198,6 +198,12 @@ def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
     return ReducedDensity(table @ table.conj().T)
 
 
+def check_dense_budget(dense_budget: int) -> None:
+    """Refuse a negative dense budget; 0, which no state fits, is valid."""
+    if dense_budget < 0:
+        raise ValueError(f"dense budget must be non-negative, got {dense_budget}")
+
+
 def check_tolerance(tol: float) -> None:
     """Refuse a NaN, infinite or negative tolerance, and one below ALGEBRA_TOL.
 

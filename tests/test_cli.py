@@ -183,6 +183,84 @@ def test_nogo_refuses_a_grid_past_its_cell_budget_at_once(tmp_path, capsys):
     assert not table.exists()
 
 
+def test_search_refuses_an_oversized_plan_at_once(tmp_path, capsys):
+    # once: the plan over all C(2000, 1000) k-sets was built before the first
+    # candidate, whatever the mode, shard or budget, and never finished
+    report = tmp_path / "report.txt"
+    for mode in ("first", "exhaustive"):
+        start = time.perf_counter()
+        argv = ["search", "--parties", "2000", "--dim", "2", "--mode", mode, "--shard", "0:1"]
+        assert run([*argv, "--out", str(report)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: the search plan for 2000 parties exceeds 1000000 block entries\n"
+        )
+        assert not report.exists()
+
+
+# sha256 of `construct ghz --dim D --parties n` before GHZ files were bounded;
+# n = 706 is the largest GHZ that fits the exponent budget.
+GHZ_DIGESTS = {
+    (2, 2): "b072436227d85434c9b5a4b47786089ea216152b84e371340f0a4300ab47e250",
+    (3, 3): "9ce71c21221999dde4cbb190f8ff110abe3236f90a49843f249a4869f247e16f",
+    (6, 5): "4883e8e6e71ef5953a4442947cd4e59d100514cd92be49301305cc9c2a82634f",
+    (2, 16): "97276900350e3562204f4bfafc9369fb35ade54624beb81ff5763030918a7bd5",
+    (3, 706): "33cc2fb2ebeaa8a3932bc1268032994860f9bfb4516262382982ddf818ac2648",
+}
+
+
+@pytest.mark.parametrize("dimension, parties", sorted(GHZ_DIGESTS))
+def test_ghz_files_within_the_exponent_budget_are_byte_identical(tmp_path, dimension, parties):
+    gens = tmp_path / "ghz.gens"
+    argv = ["construct", "ghz", "--dim", str(dimension), "--parties", str(parties)]
+    assert run([*argv, "--out", str(gens)]) == 0
+    digest = hashlib.sha256(gens.read_bytes()).hexdigest()
+    assert digest == GHZ_DIGESTS[dimension, parties]
+
+
+@pytest.mark.parametrize("parties, exponents", [(707, 1000405), (100000, 20000100000)])
+def test_construct_ghz_refuses_a_file_past_its_exponent_budget_at_once(
+    tmp_path, capsys, parties, exponents
+):
+    # once: --dim 3 --parties 2000 took 2.9 s and wrote 16 MB, and
+    # --parties 100000 never finished
+    gens = tmp_path / "ghz.gens"
+    start = time.perf_counter()
+    argv = ["construct", "ghz", "--dim", "3", "--parties", str(parties), "--out", str(gens)]
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: GHZ at n={parties} holds {exponents} exponents, over the limit of 1000000\n"
+    )
+    assert not gens.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "--parties", "3", "--dim", "2", "--search-budget", "-1"],
+         "search budget must be non-negative, got -1"),
+        (["search", "--parties", "3", "--dim", "2", "--mode", "first", "--search-budget=-5"],
+         "search budget must be non-negative, got -5"),
+        (["decompose", "GENS", "--dense-budget", "-1"],
+         "dense budget must be non-negative, got -1"),
+        (["verify", "GENS", "--dense-budget", "-1"], "dense budget must be non-negative, got -1"),
+        (["verify", "INVALID", "--method", "dense", "--dense-budget", "-1"],
+         "dense budget must be non-negative, got -1"),
+    ],
+)
+def test_negative_budgets_are_refused(tmp_path, capsys, argv, message):
+    # once: decompose --dense-budget -1 skipped its fidelity check, and
+    # search --search-budget -1 reported "8 candidates exceed the search budget of -1"
+    (tmp_path / "bell6.gens").write_text("6 2 2\n0 | 1 1 | 0 0\n0 | 0 0 | 1 5\n")
+    (tmp_path / "bad.gens").write_text("2 2 2\n0 | 1 1 | 0 0\n0 | 0 1 | 1 0\n")
+    paths = {"GENS": str(tmp_path / "bell6.gens"), "INVALID": str(tmp_path / "bad.gens")}
+    report = tmp_path / "report.txt"
+    assert run([*(paths.get(a, a) for a in argv), "--out", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
 def test_verify_rejects_groups_without_parties_or_dimension(tmp_path, capsys):
     # Once accepted: "2 0 0" verified as an AME stabilizer state (exit 0) and
     # "2 -1 0" / "0 1 0" reported invalid groups (exit 2); exit 2 is a verdict.
@@ -289,6 +367,12 @@ PARSER_CASES = [
     ["bogus", "--help"],
     ["--bogus"],
     [],
+    ["search", "--", "--parties", "3"],
+    ["search", "--par", "3", "--dim", "2"],
+    ["verify", "GENS", "junk", "more"],
+    ["search", "-h", "junk"],
+    ["nogo", "junk", "--format", "pdf"],
+    ["verify", "GENS", "--bogus=1"],
 ]
 
 
@@ -301,9 +385,9 @@ def _case_argv(argv, tmp_path):
     return [paths.get(a, a) for a in argv]
 
 
-def _parse_outcome(parser, argv, capsys):
+def _parse_outcome(parse, argv, capsys):
     try:
-        namespace = vars(parser.parse_args(argv))
+        namespace = vars(parse(argv))
         code = None
     except SystemExit as exc:
         namespace, code = None, exc.code
@@ -315,11 +399,12 @@ def _parse_outcome(parser, argv, capsys):
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_the_narrowed_parser_parses_like_the_full_one(tmp_path, capsys, monkeypatch, argv,
                                                       columns):
+    import stabame.cli as cli
+
     monkeypatch.setenv("COLUMNS", columns)
     argv = _case_argv(argv, tmp_path)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    narrowed = _parse_outcome(build_parser(command), argv, capsys)
-    assert narrowed == _parse_outcome(build_parser(), argv, capsys)
+    narrowed = _parse_outcome(cli.parse_args, argv, capsys)
+    assert narrowed == _parse_outcome(build_parser().parse_args, argv, capsys)
     assert narrowed[1] or narrowed[2] or narrowed[3]
 
 
@@ -331,8 +416,9 @@ def test_the_console_script_runs_like_the_full_parser(tmp_path, capsys, monkeypa
     out = tmp_path / "out.txt"
     monkeypatch.setattr(sys, "argv", ["stabame", *argv])
     outcomes = []
-    for build in (build_parser, lambda command=None: build_parser()):
-        monkeypatch.setattr(cli, "build_parser", build)
+    # the reference parses every argv with the full parser, then main dispatches
+    for parse in (cli.parse_args, lambda argv: build_parser().parse_args(argv)):
+        monkeypatch.setattr(cli, "parse_args", parse)
         code = cli.main()
         captured = capsys.readouterr()
         outcomes.append((code, captured.out, captured.err, out.exists() and out.read_text()))
@@ -369,15 +455,17 @@ def test_main_builds_only_the_named_subcommand_and_no_cached_parser(monkeypatch)
     monkeypatch.setattr(cli, "build_parser", counted_build)
     monkeypatch.setattr(cli, "cmd_search", lambda args: 0)
     for _ in range(2):
-        added.clear()
         assert run(["search", "--parties", "3", "--dim", "2"]) == 0
-        assert added == ["search"]
-    assert built == ["search", "search"]
+    assert (added, built) == ([], ["search", "search"])
+    built.clear()
+    assert run(["search", "--parties", "3", "--dim", "2", "junk"]) == 1
+    assert (added, built) == (list(COMMANDS), ["search", None])
+    built.clear()
     for argv in (["--help"], ["bogus"]):
         added.clear()
         run(argv)
         assert added == list(COMMANDS)
-    assert built == ["search", "search", None, None]
+    assert built == [None, None]
 
 
 def test_verify_report_contents(tmp_path, capsys):

@@ -1,14 +1,20 @@
 """Fuzz and round-trip properties of the text parsers.
 
 Every bad input must raise ValueError (FactsError is one); anything else is a
-crash. The examples are derandomized and bounded, so each run checks the same
-inputs in a few seconds.
+crash. Strings the CLI parses itself (``--shard``, ``--adjacency``) go through
+``cli.main``, which must exit 0, or 1 with an ``error:`` line. The examples
+are derandomized and bounded, so each run checks the same inputs in a few
+seconds.
 """
+
+import contextlib
+import io
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stabame.cli import main
 from stabame.nogo import emit_table, load_facts, parse_table_csv, propagate
 from stabame.pauli import format_pauli, make_pauli, parse_pauli
 from stabame.search import GraphState, format_witness_line, num_edge_slots, parse_witness_line
@@ -71,6 +77,24 @@ def test_parse_generator_file_with_a_well_formed_header(header, body):
     d, n, k = header
     lines = body.splitlines() + ["0 | 1 | 0"] * k
     parses_or_refuses(parse_generator_file, "\n".join([f"{d} {n} {k}", *lines[:k]]))
+
+
+@st.composite
+def pauli_lines(draw):
+    """A party count and a line of three blocks, mostly of that many integers."""
+    parties = draw(st.integers(-1, 5))
+    tokens = st.one_of(st.integers(-40, 40).map(str), TOKENS)
+    width = st.integers(max(parties, 0), max(parties, 0) + 1)
+    widths = (1, draw(width), draw(width))
+    blocks = [draw(st.lists(tokens, min_size=w, max_size=w)) for w in widths]
+    return " | ".join(map(" ".join, blocks)), parties
+
+
+@FUZZ
+@given(st.one_of(st.tuples(TEXTS, st.integers(-1, 5)), pauli_lines()), st.integers(-2, 12))
+def test_parse_pauli_returns_or_raises_value_error(line_and_parties, dimension):
+    line, parties = line_and_parties
+    parses_or_refuses(lambda text: parse_pauli(text, dimension, parties), line)
 
 
 @FUZZ
@@ -157,3 +181,65 @@ def test_facts_files_round_trip_and_tables_read_back(rows):
     table = propagate(facts, 6, 30)
     statuses = parse_table_csv(emit_table(table, "csv"))
     assert statuses == {key: cell.status for key, cell in table.cells.items()}
+
+
+def exits_0_or_1_with_an_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert err.getvalue() == "" and out.getvalue()
+
+
+# Strings int() reads as small integers, in plain and unusual spellings.
+SMALL_INTS = st.one_of(
+    st.integers(-2, 80).map(str), st.sampled_from(["1_0", "٣", "+2", "-0", " 08"])
+)
+
+
+def indices(top):
+    """Strings int() reads, mostly as integers in [-1, top + 1]."""
+    return st.one_of(st.integers(-1, top + 1).map(str), SMALL_INTS)
+
+
+# Small cells only: --mode first is not budget-gated, and a (4, 7) scan is
+# the longest one allowed here.
+@st.composite
+def search_argvs(draw):
+    parties, dimension = draw(st.integers(0, 4)), draw(st.integers(1, 7))
+    total = dimension ** num_edge_slots(parties)
+    index = st.one_of(indices(total), TOKENS)
+    shard = draw(st.one_of(
+        st.text(ALPHABET, max_size=20),
+        st.lists(index, min_size=1, max_size=3).map(":".join),
+        st.tuples(index, index).map(":".join),
+    ))
+    mode = draw(st.sampled_from(["first", "exhaustive"]))
+    return ["search", "--parties", str(parties), "--dim", str(dimension), "--mode", mode,
+            f"--shard={shard}", "--search-budget", "1000"]
+
+
+@FUZZ
+@given(search_argvs())
+def test_cli_search_shard_strings_exit_0_or_1(argv):
+    exits_0_or_1_with_an_error_line(argv)
+
+
+@st.composite
+def construct_graph_argvs(draw):
+    """Text, or about as many entries below the dimension as the graph has slots."""
+    parties, dimension = draw(st.integers(0, 5)), draw(st.integers(1, 8))
+    slots = num_edge_slots(parties)
+    entries = st.lists(indices(dimension - 2), min_size=slots, max_size=slots + 1)
+    adjacency = draw(st.one_of(TEXTS, entries.map(" ".join)))
+    return ["construct", "graph", "--dim", str(dimension), "--parties", str(parties),
+            f"--adjacency={adjacency}"]
+
+
+@FUZZ
+@given(construct_graph_argvs())
+def test_cli_construct_graph_adjacency_strings_exit_0_or_1(argv):
+    exits_0_or_1_with_an_error_line(argv)

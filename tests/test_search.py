@@ -9,7 +9,9 @@ from stabame import search
 from stabame.ame import verify_ame_symbolic
 from stabame.errors import BudgetExceededError
 from stabame.search import (
+    MAX_PLAN_ENTRIES,
     GraphState,
+    _plan_entries,
     format_certificate,
     format_search_report,
     format_witness_line,
@@ -140,6 +142,19 @@ def test_search_budget():
     assert format_search_report(6, 4, shard) == "PARTIAL n=6 d=4 searched=10 witnesses=0\n"
     with pytest.raises(BudgetExceededError):
         search_ame(6, 4, shard=(0, 11), search_budget=10)
+
+
+def test_the_plan_bound_admits_16_parties_and_refuses_more_before_any_plan(monkeypatch):
+    assert all(search._minor_plan(n).blocks.size == _plan_entries(n) for n in range(1, 12))
+    assert max(n for n in range(1, 100) if _plan_entries(n) <= MAX_PLAN_ENTRIES) == 16
+
+    def no_plan(parties):
+        raise AssertionError("a refused plan must not be built")
+
+    monkeypatch.setattr(search, "_minor_plan", no_plan)
+    for parties in (17, 41, 42, 2000, 10**9):
+        with pytest.raises(BudgetExceededError, match=f"plan for {parties} parties exceeds"):
+            search_ame(parties, 2, mode="first", shard=(0, 1))
 
 
 def test_search_rejects_bad_parameters():
