@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from . import ame, nogo, search, statevec
-from .errors import BudgetExceededError, FactsError
+from .errors import BudgetExceededError, FactsError, decimal_digits
 from .pauli import format_pauli
 from .stabgroup import (
     StabilizerGroup,
@@ -92,8 +92,8 @@ def cmd_verify(args) -> int:
         "validate: abelian={} phase-consistent={} order={} expected={} stabilizer-state={}".format(
             _yn(report.abelian),
             _yn(report.phase_consistent),
-            report.order,
-            group.dimension**group.parties,
+            decimal_digits(report.order),
+            decimal_digits(group.dimension**group.parties),
             _yn(report.stabilizes_unique_state),
         ),
     ]

@@ -22,8 +22,8 @@ symbolic verifier in :mod:`stabame.ame` reaches the same verdicts on
 Candidate order is row-major lexicographic on the upper-triangle entries,
 with the first entry most significant, so runs are reproducible and the
 space shards cleanly by index range. The search budget bounds the number of
-candidates an exhaustive run visits, that is the size of the shard, and
-MAX_PLAN_ENTRIES the minor plan that every run builds first.
+candidates a run may visit, that is the size of its shard, in either mode,
+and MAX_PLAN_ENTRIES the minor plan that every run builds first.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, decimal_digits
 from .pauli import make_pauli
 from .ring import factorize
 from .stabgroup import StabilizerGroup
@@ -234,11 +234,10 @@ def search_ame(
 ) -> SearchResult:
     """Scan graph states at (n, d) for AME witnesses.
 
-    ``mode="exhaustive"`` visits every candidate of the shard range (default:
-    the whole space) and refuses a range larger than ``search_budget``;
-    ``mode="first"`` stops at the first witness and is not budget-gated.
-    Either mode refuses a negative budget, and a party count whose minor
-    plan would exceed MAX_PLAN_ENTRIES.
+    Both modes scan the candidates of the shard range (default: the whole
+    space) in order; ``mode="first"`` stops at the first witness. Either mode
+    refuses a range larger than ``search_budget``, a negative budget, and a
+    party count whose minor plan would exceed MAX_PLAN_ENTRIES.
     ``searched`` counts the candidates up to and including the last one
     checked; ``exhausted`` is True only when the whole space was covered.
     """
@@ -263,27 +262,24 @@ def search_ame(
     total = dimension**slots
     start, end = (0, total) if shard is None else shard
     if not 0 <= start <= end <= total:
-        raise ValueError(f"bad shard range {start}:{end} for {total} candidates")
-    if mode == "exhaustive" and end - start > search_budget:
+        raise ValueError(f"bad shard range {start}:{end} for {decimal_digits(total)} candidates")
+    if end - start > search_budget:
         raise BudgetExceededError(
-            f"{end - start} candidates exceed the search budget of {search_budget}"
+            f"{decimal_digits(end - start)} candidates exceed the search budget of {search_budget}"
         )
 
     plan = _minor_plan(parties)
     chunk = max(1, min(MAX_CHUNK, CHUNK_ELEMENTS // plan.width))
     dtype = np.int64 if dimension <= INT64_DIMENSION_LIMIT else object
     found = []
-    first = start
-    while first < end:
-        stop = min(end, first + chunk)
-        digits = _candidate_digits(dimension, slots, first, stop - first, dtype)
+    for first in range(start, end, chunk):
+        digits = _candidate_digits(dimension, slots, first, min(chunk, end - first), dtype)
         mask = _ame_mask(digits, dimension, plan)
         if mode == "first" and mask.any():
             hit = int(np.argmax(mask))
             witness = GraphState(dimension, parties, tuple(digits[hit].tolist()))
             return SearchResult((witness,), first + hit - start + 1, False)
         found.extend(GraphState(dimension, parties, tuple(row)) for row in digits[mask].tolist())
-        first = stop
     return SearchResult(tuple(found), end - start, (start, end) == (0, total))
 
 

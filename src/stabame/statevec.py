@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import ring
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, decimal_digits
 from .pauli import PauliProduct
 from .stabgroup import StabilizerGroup, generator_product, validate
 
@@ -146,7 +146,9 @@ def state_from_group(
     n = g.parties
     size = d**n
     if size > dense_budget:
-        raise BudgetExceededError(f"dense size {size} exceeds budget {dense_budget}")
+        raise BudgetExceededError(
+            f"dense size {decimal_digits(size)} exceeds budget {dense_budget}"
+        )
     x_rows = [list(gen.x_exp) for gen in g.generators]
     _, relations = ring.kernel_mod(x_rows, d)
     seed = [0] * n

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import os
 import subprocess
@@ -17,6 +18,7 @@ from stabame.ring import factorize
 from stabame.search import GraphState, graph_to_group
 from stabame.stabgroup import (
     StabilizerGroup,
+    bell_group,
     format_generator_file,
     generator_product,
     ghz_group,
@@ -28,6 +30,26 @@ from stabame.statevec import state_from_group
 
 def run(args):
     return main(list(args))
+
+
+def run_module(args, cwd, timeout=None):
+    """``python -m stabame.cli ARGS`` in a fresh interpreter, on this checkout."""
+    src = str(Path(stabame.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "stabame.cli", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), cwd=cwd, timeout=timeout,
+    )
+
+
+def long_str(n):
+    """``str(n)`` with Python's 4300-digit limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_construct_ghz_and_verify(tmp_path):
@@ -53,13 +75,7 @@ def test_construct_bell_is_ame(tmp_path):
 def test_python_m_cli_runs_silently(tmp_path):
     gens = tmp_path / "bell.gens"
     gens.write_text("6 2 2\n0 | 1 1 | 0 0\n0 | 0 0 | 1 5\n")
-    src = str(Path(stabame.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-m", "stabame.cli", "verify", str(gens)],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
-    )
+    done = run_module(["verify", str(gens)], tmp_path)
     assert done.returncode == 0
     assert done.stderr == ""
     assert "ame=yes" in done.stdout
@@ -196,6 +212,83 @@ def test_search_refuses_an_oversized_plan_at_once(tmp_path, capsys):
             "error: the search plan for 2000 parties exceeds 1000000 block entries\n"
         )
         assert not report.exists()
+
+
+def test_search_refuses_a_first_mode_range_past_the_budget(tmp_path):
+    # once: --mode first was exempt from the budget and walked toward its
+    # first witness at candidate d + 1, about 2**40 here, and never finished;
+    # a fresh interpreter with a timeout fails such a hang instead of waiting
+    argv = ["search", "--parties", "3", "--dim", str(2**40), "--mode", "first", "--out", "r.txt"]
+    done = run_module(argv, tmp_path, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (
+        "error: 1329227995784915872903807060280344576 candidates exceed the search budget"
+        " of 100000000\n"
+    )
+    assert not (tmp_path / "r.txt").exists()
+
+
+# Counts printed past Python's 4300-digit int-to-str limit: each failed once
+# with "error: Exceeds the limit (4300 digits) for integer string conversion".
+@pytest.mark.parametrize("parties", [100000, 3000000])
+def test_verify_reports_an_expected_order_past_the_str_digit_limit(tmp_path, capsys, parties):
+    # 2**3000000 has 903 090 digits, which a direct int-to-decimal conversion,
+    # quadratic in the digit count, takes many seconds to print; the expected
+    # digits come from an exact Decimal power
+    gens = tmp_path / "wide.gens"
+    gens.write_text(f"2 {parties} 0\n")
+    start = time.perf_counter()
+    assert run(["verify", str(gens)]) == 2
+    assert time.perf_counter() - start < 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        expected = str(decimal.Decimal(2) ** parties)
+    assert capsys.readouterr() == (
+        f"input D=2 n={parties} generators=0\nvalidate: abelian=yes phase-consistent=yes "
+        f"order=1 expected={expected} stabilizer-state=no\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("shard, message", [
+    (["--shard", "5:1"], "bad shard range 5:1 for {} candidates"),
+    ([], "{} candidates exceed the search budget of 100000000"),
+], ids=["bad-shard", "whole-space"])
+def test_search_refusals_print_counts_past_the_str_digit_limit(capsys, shard, message):
+    # (16, 10**39) has 10**(39 * 120) candidates, 4681 digits
+    start = time.perf_counter()
+    assert run(["search", "--parties", "16", "--dim", str(10**39), *shard]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message.format(long_str(10**4680))}\n"
+    # the widest --dim that int() reads, 10**4299, gives 10**515880 candidates,
+    # which a quadratic int-to-decimal conversion takes seconds to print
+    start = time.perf_counter()
+    assert run(["search", "--parties", "16", "--dim", str(10**4299), *shard]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message.format('1' + '0' * 515880)}\n"
+
+
+@pytest.mark.parametrize("method", ["symbolic", "dense", "both"])
+def test_verify_at_a_dimension_whose_square_passes_the_str_digit_limit(tmp_path, capsys, method):
+    # a Bell pair at D = 10**2200 + 1: D (2201 digits) is read within the limit,
+    # while D**2 (4401 digits) is past it
+    dimension = 10**2200 + 1
+    gens = tmp_path / "bell.gens"
+    gens.write_text(format_generator_file(bell_group(dimension)))
+    start = time.perf_counter()
+    code = run(["verify", str(gens), "--method", method])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    if method == "symbolic":
+        assert code == 0 and err == ""
+        assert out == (
+            f"input D={dimension} n=2 generators=2\nvalidate: abelian=yes phase-consistent=yes "
+            f"order={long_str(dimension**2)} expected={long_str(dimension**2)} "
+            "stabilizer-state=yes\nmethod=symbolic ame=yes\n"
+        )
+    else:
+        assert code == 1 and out == ""
+        assert err == f"error: dense size {long_str(dimension**2)} exceeds budget 100000\n"
 
 
 # sha256 of `construct ghz --dim D --parties n` before GHZ files were bounded;

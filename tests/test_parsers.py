@@ -205,8 +205,9 @@ def indices(top):
     return st.one_of(st.integers(-1, top + 1).map(str), SMALL_INTS)
 
 
-# Small cells only: --mode first is not budget-gated, and a (4, 7) scan is
-# the longest one allowed here.
+# Small cells, so that drawn indices often fall at or past the ends of the
+# space; a (4, 7) scan is the largest cell, and --search-budget 1000 bounds
+# the range scanned in either mode.
 @st.composite
 def search_argvs(draw):
     parties, dimension = draw(st.integers(0, 4)), draw(st.integers(1, 7))

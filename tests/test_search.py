@@ -133,10 +133,16 @@ def test_search_sharding_composes():
 
 
 def test_search_budget():
-    with pytest.raises(BudgetExceededError):
-        search_ame(4, 3, mode="exhaustive", search_budget=100)
-    # first-witness mode is not budget-gated
-    assert search_ame(4, 3, mode="first", search_budget=100).found
+    # one rule in both modes: the range scanned must fit the budget
+    for mode in ("exhaustive", "first"):
+        with pytest.raises(BudgetExceededError, match="^729 candidates exceed .* of 100$"):
+            search_ame(4, 3, mode=mode, search_budget=100)
+    # a first-mode shard within the budget still finds the first witness,
+    # the 124th candidate of the whole space, and stops there
+    first = search_ame(4, 3, mode="first", shard=(100, 200), search_budget=100)
+    assert first.searched == 24 and first.found == search_ame(4, 3, mode="first").found
+    partial = search_ame(4, 3, mode="first", shard=(0, 100))
+    assert format_search_report(4, 3, partial) == "PARTIAL n=4 d=3 searched=100 witnesses=0\n"
     # the budget bounds the shard, not the 4^15 candidates of the whole space
     shard = search_ame(6, 4, shard=(0, 10))
     assert format_search_report(6, 4, shard) == "PARTIAL n=6 d=4 searched=10 witnesses=0\n"
