@@ -22,20 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Sequence
 
 from . import ring
-# multiply stays bound here: perfbench/selftest.py checks the tracer patches ame.multiply.
+# multiply and validate stay bound here: perfbench/selftest.py checks that
+# the tracer patches ame.multiply and ame.validate.
 from .pauli import multiply  # noqa: F401
 from .stabgroup import (
     StabilizerGroup,
+    ame_subsets,
     embed_pauli,
     exponent_matrix,
     factor_group,
     format_generator_file,
     generator_product,
-    validate,
+    require_unique_state,
+    validate,  # noqa: F401
 )
 from .statevec import (
     DEFAULT_DENSE_BUDGET,
@@ -72,20 +74,12 @@ def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
     generate those elements up to gen**D, which is the identity in a valid
     group, so the first non-identity product over them is the witness.
     """
-    if not validate(g).stabilizes_unique_state:
-        raise ValueError("group does not stabilize a unique state")
+    require_unique_state(g)
     d = g.dimension
     n = g.parties
     full = d**n
     matrix = exponent_matrix(g)
-    subsets = combinations(range(n), n // 2)
-    if n % 2 == 0:
-        # For a pure state, S and its complement support equally many elements
-        # when |S| = n/2, so S^c repeats the test of S. The half of the subsets
-        # holding party 0 comes first in combinations order, so the first
-        # failing subset is among them.
-        subsets = (sub for sub in subsets if 0 in sub)
-    for sub in subsets:
+    for sub in ame_subsets(n):
         outside_cols = [c for c in range(2 * n) if (c % n) not in sub]
         restricted = [[row[c] for c in outside_cols] for row in matrix]
         if ring.span_order_mod(restricted, d) < full:
@@ -143,9 +137,7 @@ def decompose(
     state with fidelity > 1 - 1e-9; a violation raises.
     """
     check_dense_budget(dense_budget)
-    report = validate(g)
-    if not report.stabilizes_unique_state:
-        raise ValueError("group does not stabilize a unique state")
+    require_unique_state(g)
     f = ring.factorize(g.dimension)
     factor_groups = tuple(factor_group(g, q) for q in f.prime_powers)
 

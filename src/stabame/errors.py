@@ -5,7 +5,8 @@ from decimal import Decimal
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured size budget (dense, enumeration, or search) would be exceeded."""
+    """A size bound would be exceeded: the dense budget, the search budget, the
+    search's minor plan, a built group's exponents or the nogo grid."""
 
 
 class FactsError(ValueError):

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import BudgetExceededError, decimal_digits
 from .pauli import make_pauli
 from .ring import factorize
-from .stabgroup import StabilizerGroup
+from .stabgroup import StabilizerGroup, ame_subsets
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -152,7 +152,7 @@ class _MinorPlan:
 
 
 def _plan_entries(parties: int) -> int:
-    """Block entries of ``_minor_plan(parties)``: tested k-sets x k x (n - k)."""
+    """Block entries of ``_minor_plan(parties)``: ``ame_subsets`` k-sets x k x (n - k)."""
     k = parties // 2
     tested = math.comb(parties, k) // (2 if 2 * k == parties else 1)
     return tested * k * (parties - k)
@@ -163,11 +163,7 @@ def _minor_plan(parties: int) -> _MinorPlan:
     k = parties // 2
     m = parties - k
     slot = {pair: s for s, pair in enumerate(combinations(range(parties), 2))}
-    subsets = list(combinations(range(parties), k))
-    if 2 * k == parties:
-        # A[S^c, S] is the transpose of the square block A[S, S^c], so S^c
-        # repeats the test of S: keep the half of the k-sets holding vertex 0.
-        subsets = [s for s in subsets if 0 in s]
+    subsets = list(ame_subsets(parties))
     blocks = np.empty((len(subsets), k, m), dtype=np.intp)
     for i, rows in enumerate(subsets):
         rest = [v for v in range(parties) if v not in rows]

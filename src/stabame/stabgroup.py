@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from . import ring
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, decimal_digits
 from .pauli import (
     PauliProduct,
     format_pauli,
@@ -129,6 +130,34 @@ def _check_validity(g: StabilizerGroup) -> ValidityReport:
     )
     full = order == g.dimension**g.parties
     return ValidityReport(abelian, order, phase_consistent, phase_consistent and full)
+
+
+def require_unique_state(g: StabilizerGroup) -> None:
+    """Raise ValueError, naming the flags of :func:`validate`, unless ``g``
+    stabilizes a unique state."""
+    report = validate(g)
+    if not report.stabilizes_unique_state:
+        raise ValueError(
+            "group does not stabilize a unique state "
+            f"(abelian={report.abelian}, order={decimal_digits(report.order)}, "
+            f"phase_consistent={report.phase_consistent})"
+        )
+
+
+def ame_subsets(parties: int) -> Iterator[tuple[int, ...]]:
+    """The floor(n/2)-party subsets an exact AME test must check, in ``combinations`` order.
+
+    A pure state is AME exactly when its reduction to every floor(n/2)-subset
+    S is maximally mixed. At even n, S^c has n/2 parties too, and the two
+    reductions of a pure state share their spectrum, so S^c passes exactly
+    when S does. Only the half of the subsets holding party 0 is yielded; it
+    comes first in ``combinations`` order, so it holds the first failing
+    subset.
+    """
+    subsets = combinations(range(parties), parties // 2)
+    if parties % 2 == 0:
+        return (sub for sub in subsets if 0 in sub)
+    return subsets
 
 
 def _crt_cofactor(q: int, d: int) -> tuple[int, int]:

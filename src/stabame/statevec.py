@@ -16,8 +16,6 @@ generator at a time, and each new amplitude is an exact power of lam, so no
 pass over the D**n indices and no projection ever runs.
 :func:`reduced_density` (kept parties transposed first) and
 :func:`crt_product` work on the amplitudes reshaped to one axis per party.
-:class:`ReducedDensity` tests positive semidefiniteness by a Cholesky
-factorization of ``matrix + NORM_TOL * I``, i.e. lambda_min > -NORM_TOL.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 from . import ring
 from .errors import BudgetExceededError, decimal_digits
 from .pauli import PauliProduct
-from .stabgroup import StabilizerGroup, generator_product, validate
+from .stabgroup import StabilizerGroup, generator_product, require_unique_state
 
 DEFAULT_DENSE_BUDGET = 100_000
 
@@ -57,29 +55,6 @@ class DenseState:
         excess = abs(np.vdot(self.amplitudes, self.amplitudes).real - 1.0)
         if not excess <= NORM_TOL:
             raise ValueError(f"state is not normalized: |<psi|psi> - 1| = {excess:.3e}")
-
-
-@dataclass
-class ReducedDensity:
-    """Reduced density operator on a subset of parties, in increasing party order."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        r = self.matrix.shape[0]
-        if self.matrix.shape != (r, r):
-            raise ValueError("density matrix must be square")
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("density matrix has non-finite entries")
-        if not np.abs(self.matrix - self.matrix.conj().T).max() <= ALGEBRA_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if not abs(np.trace(self.matrix).real - 1.0) <= NORM_TOL:
-            raise ValueError("density matrix trace is not 1")
-        try:
-            np.linalg.cholesky(self.matrix + NORM_TOL * np.eye(r))
-        except np.linalg.LinAlgError:
-            raise ValueError("density matrix is not positive semidefinite") from None
 
 
 @dataclass(frozen=True)
@@ -135,13 +110,7 @@ def state_from_group(
     the state's own amplitude ratios, so whichever seed the elimination
     picks, the amplitudes come out the same, bit for bit.
     """
-    report = validate(g)
-    if not report.stabilizes_unique_state:
-        raise ValueError(
-            "group does not stabilize a unique state "
-            f"(abelian={report.abelian}, order={report.order}, "
-            f"phase_consistent={report.phase_consistent})"
-        )
+    require_unique_state(g)
     d = g.dimension
     n = g.parties
     size = d**n
@@ -185,8 +154,13 @@ def state_from_group(
     return DenseState(d, n, vec)
 
 
-def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
-    """Partial trace over the complement of ``subset`` (0-based party indices)."""
+def reduced_density(state: DenseState, subset: Iterable[int]) -> np.ndarray:
+    """Partial trace over the complement of ``subset`` (0-based party indices).
+
+    The kept parties index the rows in increasing order. rho = T T^dagger is
+    Hermitian and positive semidefinite with trace <psi|psi> by construction,
+    so the state's norm check is its whole float contract.
+    """
     n = state.parties
     requested = [int(s) for s in subset]
     sub = tuple(sorted(set(requested)))
@@ -197,7 +171,7 @@ def reduced_density(state: DenseState, subset: Iterable[int]) -> ReducedDensity:
     comp = tuple(k for k in range(n) if k not in sub)
     d = state.dimension
     table = state.amplitudes.reshape((d,) * n).transpose(sub + comp).reshape(d ** len(sub), -1)
-    return ReducedDensity(table @ table.conj().T)
+    return table @ table.conj().T
 
 
 def check_dense_budget(dense_budget: int) -> None:
@@ -228,14 +202,15 @@ def verify_ame_dense(state: DenseState, tol: float = NORM_TOL) -> AmeVerdict:
     lexicographic order; the verdict is independent of that order. The
     reported deviation is the maximum, and the reported worst subset is the
     first one within ALGEBRA_TOL of it, so float roundoff cannot pick among
-    subsets that tie exactly.
+    subsets that tie exactly. Both depend on every subset, so this scans
+    them all, not only the half of :func:`~stabame.stabgroup.ame_subsets`.
     """
     check_tolerance(tol)
     n = state.parties
     subsets = list(combinations(range(n), n // 2))
     devs = []
     for sub in subsets:
-        rho = reduced_density(state, sub).matrix
+        rho = reduced_density(state, sub)
         r = rho.shape[0]
         devs.append(float(np.abs(rho - np.eye(r) / r).max()))
     worst = max(devs)

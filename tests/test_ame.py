@@ -313,7 +313,8 @@ def test_decompose_bell6_factors_are_ame():
 
 
 def test_decompose_rejects_invalid():
-    with pytest.raises(ValueError):
+    flags = r"unique state \(abelian=True, order=6, phase_consistent=True\)"
+    with pytest.raises(ValueError, match=flags):
         decompose(StabilizerGroup(6, 2, (single_site(6, 2, 0, x=1),)))
 
 

@@ -20,7 +20,7 @@ from stabame.search import (
     parse_witness_line,
     search_ame,
 )
-from stabame.stabgroup import validate
+from stabame.stabgroup import ame_subsets, validate
 from stabame.statevec import state_from_group, verify_ame_dense
 
 
@@ -148,6 +148,12 @@ def test_search_budget():
     assert format_search_report(6, 4, shard) == "PARTIAL n=6 d=4 searched=10 witnesses=0\n"
     with pytest.raises(BudgetExceededError):
         search_ame(6, 4, shard=(0, 11), search_budget=10)
+
+
+def test_plan_entries_count_the_ame_subsets_the_plan_is_built_from():
+    for n in range(1, 17):
+        k = n // 2
+        assert _plan_entries(n) == sum(1 for _ in ame_subsets(n)) * k * (n - k)
 
 
 def test_the_plan_bound_admits_16_parties_and_refuses_more_before_any_plan(monkeypatch):
