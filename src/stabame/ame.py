@@ -41,6 +41,7 @@ from .stabgroup import (
 )
 from .statevec import (
     DEFAULT_DENSE_BUDGET,
+    NORM_TOL,
     AmeVerdict,
     check_dense_budget,
     check_tolerance,
@@ -99,7 +100,7 @@ def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
 def verify_ame(
     g: StabilizerGroup,
     method: str = "symbolic",
-    tol: float = 1e-9,
+    tol: float = NORM_TOL,
     dense_budget: int = DEFAULT_DENSE_BUDGET,
 ) -> AmeVerdict:
     """Dispatch to the symbolic checker, the dense checker, or both.
@@ -147,7 +148,7 @@ def decompose(
             [state_from_group(fg, dense_budget=dense_budget) for fg in factor_groups]
         )
         overlap = fidelity(combined, original)
-        if overlap <= 1.0 - 1e-9:
+        if overlap <= 1.0 - NORM_TOL:
             raise RuntimeError(
                 f"factor states do not reassemble the input (fidelity {overlap:.12f}); "
                 "this indicates a bug"

@@ -8,10 +8,9 @@ verify exit codes: 0 = AME, 1 = not AME, 2 = input is not a stabilizer-state
 group. Other subcommands: 0 on success. Every error, usage errors too, exits 1.
 
 Each call builds a fresh parser. When the first argument names a subcommand,
-the rest is parsed by that subcommand's own parser, the one the full parser
-would hand it to; leftover arguments, and anything else (no arguments,
-``--help``, an unknown name), go to the full parser with all five, so help
-and errors read the same either way.
+the rest is parsed by that subcommand's own parser, which reports its usage
+errors under its own usage line; anything else (no arguments, ``--help``, an
+unknown name) goes to the full parser with all five.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import argparse
 import sys
 
 from . import ame, nogo, search, statevec
-from .errors import BudgetExceededError, FactsError, decimal_digits
+from .errors import decimal_digits
 from .pauli import format_pauli
 from .stabgroup import (
     StabilizerGroup,
@@ -163,13 +162,13 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     elif command == "verify":
         p.add_argument("gens", help="generator file")
         p.add_argument("--method", choices=["symbolic", "dense", "both"], default="symbolic")
-        p.add_argument("--tol", type=float, default=1e-9, help="dense tolerance (default 1e-9)")
+        p.add_argument("--tol", type=float, default=statevec.NORM_TOL,
+                       help="dense tolerance (default 1e-9)")
         p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
         p.add_argument("--out", help="report file (default: stdout)")
         p.set_defaults(func=cmd_verify)
     elif command == "decompose":
         p.add_argument("gens", help="generator file")
-        p.add_argument("--verify", dest="verify", action="store_true", default=True)
         p.add_argument("--no-verify", dest="verify", action="store_false",
                        help="skip the per-factor AME verdict lines")
         p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
@@ -215,17 +214,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the full parser does, with the least parser that can.
-
-    A subcommand named by ``argv[0]`` parses the rest with its own parser.
-    Leftover arguments are the one error the full parser reports under its
-    own usage line, so for those, and for any other ``argv``, the full
-    parser parses ``argv`` itself.
-    """
+    """Parse ``argv`` with the parser of the subcommand ``argv[0]`` names, or the full one."""
     if argv and argv[0] in COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
+        return build_parser(argv[0]).parse_args(argv[1:])
     return build_parser().parse_args(argv)
 
 
@@ -238,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ValueError, OSError, FactsError, BudgetExceededError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+def check_size(dimension: int, parties: int) -> None:
+    """Refuse a system that is not ``parties >= 1`` qudits of dimension ``dimension >= 2``."""
+    if dimension < 2:
+        raise ValueError(f"dimension must be >= 2, got {dimension}")
+    if parties < 1:
+        raise ValueError(f"parties must be >= 1, got {parties}")
+
+
 @dataclass(frozen=True)
 class PauliProduct:
     """One Weyl-Heisenberg group element on ``parties`` qudits of dimension ``dimension``."""
@@ -34,10 +42,7 @@ class PauliProduct:
 
     def __post_init__(self):
         d = self.dimension
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
-        if self.parties < 1:
-            raise ValueError(f"parties must be >= 1, got {self.parties}")
+        check_size(d, self.parties)
         if len(self.x_exp) != self.parties or len(self.z_exp) != self.parties:
             raise ValueError("exponent vectors must have one entry per party")
         if not 0 <= self.phase_exp < 2 * d:
@@ -69,8 +74,7 @@ def make_pauli(
     z_exp: Sequence[int] | None = None,
 ) -> PauliProduct:
     """Build a PauliProduct, reducing exponents into their canonical ranges."""
-    if dimension < 2:  # the reductions below would divide by it
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
+    check_size(dimension, parties)  # before the reductions below divide by the dimension
     x = tuple(int(v) % dimension for v in (x_exp if x_exp is not None else [0] * parties))
     z = tuple(int(v) % dimension for v in (z_exp if z_exp is not None else [0] * parties))
     return PauliProduct(dimension, parties, int(phase_exp) % (2 * dimension), x, z)

@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, decimal_digits
-from .pauli import make_pauli
+from .pauli import check_size, make_pauli
 from .ring import factorize
 from .stabgroup import StabilizerGroup, ame_subsets
 
@@ -88,10 +88,7 @@ class GraphState:
     upper: tuple[int, ...]
 
     def __post_init__(self):
-        if self.parties < 1:
-            raise ValueError(f"parties must be >= 1, got {self.parties}")
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
+        check_size(self.dimension, self.parties)
         slots = num_edge_slots(self.parties)
         if len(self.upper) != slots:
             raise ValueError(f"expected {slots} entries, got {len(self.upper)}")
@@ -237,10 +234,7 @@ def search_ame(
     ``searched`` counts the candidates up to and including the last one
     checked; ``exhausted`` is True only when the whole space was covered.
     """
-    if parties < 1:
-        raise ValueError(f"parties must be >= 1, got {parties}")
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
+    check_size(dimension, parties)
     if mode not in ("exhaustive", "first"):
         raise ValueError(f"unknown mode {mode!r}")
     if search_budget < 0:

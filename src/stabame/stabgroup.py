@@ -20,6 +20,7 @@ from . import ring
 from .errors import BudgetExceededError, decimal_digits
 from .pauli import (
     PauliProduct,
+    check_size,
     format_pauli,
     make_pauli,
     multiply,
@@ -32,13 +33,9 @@ from .pauli import (
 # Most exponents (a phase, n X and n Z per generator) a constructed group may
 # hold: about 2 MB as a generator file, and GHZ up to n = 706.
 MAX_GROUP_EXPONENTS = 10**6
-
-
-def _check_size(dimension: int, parties: int) -> None:
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
-    if parties < 1:
-        raise ValueError(f"parties must be >= 1, got {parties}")
+# Most bits, n * bit_length(D), that the order D**n of a group may span:
+# validate forms D**n and verify prints it, in well under a second at this size.
+MAX_ORDER_BITS = 2**23
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,13 @@ class StabilizerGroup:
     generators: tuple[PauliProduct, ...]
 
     def __post_init__(self):
-        _check_size(self.dimension, self.parties)
+        check_size(self.dimension, self.parties)
+        bits = self.parties * self.dimension.bit_length()
+        if bits > MAX_ORDER_BITS:
+            raise ValueError(
+                f"the order D**n at n={self.parties} spans up to {bits} bits, over the "
+                f"limit of {MAX_ORDER_BITS}"
+            )
         for g in self.generators:
             if g.dimension != self.dimension or g.parties != self.parties:
                 raise ValueError("generator dimension/parties mismatch")
@@ -232,7 +235,7 @@ def parse_generator_file(text: str) -> StabilizerGroup:
         dim, parties, count = map(int, head)
     except ValueError as exc:
         raise ValueError(f"bad header line {body[0]!r}") from exc
-    _check_size(dim, parties)
+    check_size(dim, parties)
     if len(body) - 1 != count:
         raise ValueError(f"header promises {count} generators, file has {len(body) - 1}")
     gens = tuple(parse_pauli(ln, dim, parties) for ln in body[1:])

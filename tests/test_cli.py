@@ -250,6 +250,24 @@ def test_verify_reports_an_expected_order_past_the_str_digit_limit(tmp_path, cap
     )
 
 
+def test_verify_refuses_a_group_order_past_its_bit_bound(tmp_path):
+    # once: validate formed 2**(10**12) before anything printed and never
+    # finished; a fresh interpreter with a timeout fails such a hang instead
+    # of waiting, then the in-process refusal is timed
+    (tmp_path / "huge.gens").write_text("2 1000000000000 0\n")
+    argv = ["verify", "huge.gens", "--out", "r.txt"]
+    done = run_module(argv, tmp_path, timeout=60)
+    message = (
+        "error: the order D**n at n=1000000000000 spans up to 2000000000000 bits, over the "
+        "limit of 8388608\n"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    assert not (tmp_path / "r.txt").exists()
+    start = time.perf_counter()
+    assert run(["verify", str(tmp_path / "huge.gens")]) == 1
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("shard, message", [
     (["--shard", "5:1"], "bad shard range 5:1 for {} candidates"),
     ([], "{} candidates exceed the search budget of 100000000"),
@@ -450,8 +468,6 @@ PARSER_CASES = [
     ["decompose", "-h"],
     ["search", "--help"],
     ["nogo", "--help"],
-    ["search", "--parties", "3", "--dim", "2", "junk"],
-    ["verify", "GENS", "--bogus"],
     ["search", "--parties", "4"],
     ["verify"],
     ["nogo", "--format", "pdf"],
@@ -462,10 +478,31 @@ PARSER_CASES = [
     [],
     ["search", "--", "--parties", "3"],
     ["search", "--par", "3", "--dim", "2"],
-    ["verify", "GENS", "junk", "more"],
     ["search", "-h", "junk"],
     ["nogo", "junk", "--format", "pdf"],
-    ["verify", "GENS", "--bogus=1"],
+]
+
+VERIFY_USAGE = """\
+usage: stabame verify [-h] [--method {symbolic,dense,both}] [--tol TOL]
+                      [--dense-budget DENSE_BUDGET] [--out OUT]
+                      gens
+"""
+
+# Arguments left over by the named subcommand's parser, which reports them
+# under its own usage line: (argv, that usage at COLUMNS=100, the leftovers).
+LEFTOVER_CASES = [
+    (["search", "--parties", "3", "--dim", "2", "junk"],
+     "usage: stabame search [-h] --parties PARTIES --dim DIM [--mode {first,exhaustive}]"
+     " [--shard SHARD]\n                      [--search-budget SEARCH_BUDGET] [--out OUT]\n",
+     "junk"),
+    (["verify", "GENS", "--bogus"], VERIFY_USAGE, "--bogus"),
+    (["verify", "GENS", "junk", "more"], VERIFY_USAGE, "junk more"),
+    (["verify", "GENS", "--bogus=1"], VERIFY_USAGE, "--bogus=1"),
+    # --verify only restated its default; --no-verify is the one switch
+    (["decompose", "GENS", "--verify"],
+     "usage: stabame decompose [-h] [--no-verify] [--dense-budget DENSE_BUDGET] [--out OUT]"
+     " gens\n",
+     "--verify"),
 ]
 
 
@@ -519,6 +556,18 @@ def test_the_console_script_runs_like_the_full_parser(tmp_path, capsys, monkeypa
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize(("argv", "usage", "extras"), LEFTOVER_CASES,
+                         ids=[" ".join(case[0]) for case in LEFTOVER_CASES])
+def test_leftover_arguments_get_the_subcommand_usage(tmp_path, capsys, monkeypatch, argv, usage,
+                                                     extras):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert run(_case_argv(argv, tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{usage}stabame {argv[0]}: error: unrecognized arguments: {extras}\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_top_level_usage_errors_name_the_command_argument(capsys):
     assert run(["bogus"]) == 1
     assert "stabame: error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
@@ -552,7 +601,7 @@ def test_main_builds_only_the_named_subcommand_and_no_cached_parser(monkeypatch)
     assert (added, built) == ([], ["search", "search"])
     built.clear()
     assert run(["search", "--parties", "3", "--dim", "2", "junk"]) == 1
-    assert (added, built) == (list(COMMANDS), ["search", None])
+    assert (added, built) == ([], ["search"])
     built.clear()
     for argv in (["--help"], ["bogus"]):
         added.clear()

@@ -232,10 +232,14 @@ def test_parse_pauli_rejects_malformed():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
         PauliProduct(1, 1, 0, (0,), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parties must be >= 1, got 0"):
         PauliProduct(2, 0, 0, (), ())
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 0"):
+        make_pauli(0, 1, 0, [1], [1])
+    with pytest.raises(ValueError, match="parties must be >= 1, got -1"):
+        make_pauli(3, -1)
     with pytest.raises(ValueError):
         PauliProduct(2, 1, 4, (0,), (0,))
     with pytest.raises(ValueError):

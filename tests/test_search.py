@@ -170,9 +170,9 @@ def test_the_plan_bound_admits_16_parties_and_refuses_more_before_any_plan(monke
 
 
 def test_search_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parties must be >= 1, got 0"):
         search_ame(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
         search_ame(2, 1)
 
 

@@ -85,6 +85,17 @@ def test_group_constructor_rejects_bad_sizes():
         ghz_group(2, 0)
 
 
+def test_group_order_bit_bound():
+    # n * bit_length(D) is checked before D**n is ever formed
+    bound = stabgroup.MAX_ORDER_BITS
+    assert StabilizerGroup(2, bound // 2, ()).parties == bound // 2
+    assert StabilizerGroup(2**bound - 1, 1, ()).parties == 1
+    with pytest.raises(ValueError, match=f"spans up to {bound + 2} bits, over the limit of {bound}"):
+        StabilizerGroup(2, bound // 2 + 1, ())
+    with pytest.raises(ValueError, match=f"spans up to {bound + 1} bits"):
+        StabilizerGroup(2**bound, 1, ())
+
+
 def test_validity_is_computed_once_per_group(monkeypatch):
     from stabame import ring
 
