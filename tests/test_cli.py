@@ -468,6 +468,8 @@ PARSER_CASES = [
     ["decompose", "-h"],
     ["search", "--help"],
     ["nogo", "--help"],
+    ["search", "--parties", "3", "--dim", "2", "junk"],
+    ["verify", "GENS", "--bogus"],
     ["search", "--parties", "4"],
     ["verify"],
     ["nogo", "--format", "pdf"],
@@ -478,8 +480,11 @@ PARSER_CASES = [
     [],
     ["search", "--", "--parties", "3"],
     ["search", "--par", "3", "--dim", "2"],
+    ["verify", "GENS", "junk", "more"],
     ["search", "-h", "junk"],
     ["nogo", "junk", "--format", "pdf"],
+    ["verify", "GENS", "--bogus=1"],
+    ["decompose", "GENS", "--verify"],
 ]
 
 VERIFY_USAGE = """\
@@ -515,6 +520,21 @@ def _case_argv(argv, tmp_path):
     return [paths.get(a, a) for a in argv]
 
 
+def _full_parse(argv):
+    """Parse ``argv`` with the full parser; arguments left over after a named
+    subcommand are reported by that subcommand's parser within it."""
+    import argparse
+
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if not extras:
+        return args
+    if argv[0] in COMMANDS:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices[argv[0]].parse_args(argv[1:])
+    return parser.parse_args(argv)
+
+
 def _parse_outcome(parse, argv, capsys):
     try:
         namespace = vars(parse(argv))
@@ -534,7 +554,7 @@ def test_the_narrowed_parser_parses_like_the_full_one(tmp_path, capsys, monkeypa
     monkeypatch.setenv("COLUMNS", columns)
     argv = _case_argv(argv, tmp_path)
     narrowed = _parse_outcome(cli.parse_args, argv, capsys)
-    assert narrowed == _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert narrowed == _parse_outcome(_full_parse, argv, capsys)
     assert narrowed[1] or narrowed[2] or narrowed[3]
 
 
@@ -547,7 +567,7 @@ def test_the_console_script_runs_like_the_full_parser(tmp_path, capsys, monkeypa
     monkeypatch.setattr(sys, "argv", ["stabame", *argv])
     outcomes = []
     # the reference parses every argv with the full parser, then main dispatches
-    for parse in (cli.parse_args, lambda argv: build_parser().parse_args(argv)):
+    for parse in (cli.parse_args, _full_parse):
         monkeypatch.setattr(cli, "parse_args", parse)
         code = cli.main()
         captured = capsys.readouterr()
