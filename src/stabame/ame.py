@@ -44,7 +44,6 @@ from .statevec import (
     NORM_TOL,
     AmeVerdict,
     check_dense_budget,
-    check_tolerance,
     crt_product,
     fidelity,
     state_from_group,
@@ -100,22 +99,22 @@ def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
 def verify_ame(
     g: StabilizerGroup,
     method: str = "symbolic",
-    tol: float = NORM_TOL,
     dense_budget: int = DEFAULT_DENSE_BUDGET,
 ) -> AmeVerdict:
     """Dispatch to the symbolic checker, the dense checker, or both.
 
-    With ``method="both"`` the two verdicts must agree; a mismatch is an
+    The dense verdict's threshold is fixed and separates AME from non-AME
+    stabilizer states (:func:`~stabame.statevec.verify_ame_dense`), so with
+    ``method="both"`` the two verdicts must agree; a mismatch is an
     implementation bug, not a property of the input, and raises.
     """
     if method not in ("symbolic", "dense", "both"):
         raise ValueError(f"unknown method {method!r}")
-    check_tolerance(tol)
     check_dense_budget(dense_budget)
     sym = verify_ame_symbolic(g) if method != "dense" else None
     if method == "symbolic":
         return sym
-    dense = verify_ame_dense(state_from_group(g, dense_budget=dense_budget), tol=tol)
+    dense = verify_ame_dense(state_from_group(g, dense_budget=dense_budget))
     if method == "dense":
         return dense
     if sym.is_ame != dense.is_ame:

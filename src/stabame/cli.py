@@ -62,6 +62,16 @@ def _parse_shard(spec: str) -> tuple[int, int]:
         raise ValueError(f"bad shard spec {spec!r}; expected start:end") from exc
 
 
+def _parse_adjacency(spec: str) -> tuple[int, ...]:
+    entries = []
+    for token in spec.split():
+        try:
+            entries.append(int(token))
+        except ValueError as exc:
+            raise ValueError(f"bad --adjacency entry {token!r}; expected integers") from exc
+    return tuple(entries)
+
+
 def cmd_construct(args) -> int:
     if args.kind == "ghz":
         group = ghz_group(args.dim, args.parties)
@@ -74,7 +84,7 @@ def cmd_construct(args) -> int:
     else:  # graph
         if args.adjacency is None:
             raise ValueError("graph requires --adjacency with the upper-triangle entries")
-        entries = tuple(int(tok) for tok in args.adjacency.split())
+        entries = _parse_adjacency(args.adjacency)
         group = search.graph_to_group(search.GraphState(args.dim, args.parties, entries))
         comment = f"graph D={args.dim} n={args.parties} upper={' '.join(map(str, entries))}"
     _write_output(format_generator_file(group, header_comment=comment), args.out)
@@ -82,7 +92,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    statevec.check_tolerance(args.tol)
     statevec.check_dense_budget(args.dense_budget)
     group = _read_group(args.gens)
     report = validate(group)
@@ -99,9 +108,7 @@ def cmd_verify(args) -> int:
     if not report.stabilizes_unique_state:
         _write_output("\n".join(lines) + "\n", args.out)
         return 2
-    verdict = ame.verify_ame(
-        group, method=args.method, tol=args.tol, dense_budget=args.dense_budget
-    )
+    verdict = ame.verify_ame(group, method=args.method, dense_budget=args.dense_budget)
     line = f"method={verdict.method} ame={_yn(verdict.is_ame)}"
     if verdict.worst_deviation is not None:
         subset = ",".join(map(str, verdict.worst_subset or ()))
@@ -162,8 +169,6 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     elif command == "verify":
         p.add_argument("gens", help="generator file")
         p.add_argument("--method", choices=["symbolic", "dense", "both"], default="symbolic")
-        p.add_argument("--tol", type=float, default=statevec.NORM_TOL,
-                       help="dense tolerance (default 1e-9)")
         p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
         p.add_argument("--out", help="report file (default: stdout)")
         p.set_defaults(func=cmd_verify)

@@ -66,13 +66,12 @@ MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def factorize(dimension: int) -> PrimePowerFactorization:
-    """Prime-power factorization of ``dimension``; rejects dimension < 2.
+    """Prime-power factorization of ``dimension``.
 
     Trial division stops at ``TRIAL_DIVISION_BOUND``; a cofactor left past it
-    must be a certified prime or a power of one, else ValueError.
+    must be a certified prime or a power of one, else ValueError. A dimension
+    below 2 has no factors, and :class:`PrimePowerFactorization` rejects it.
     """
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
     rest = dimension
     factors = []
     p = 2

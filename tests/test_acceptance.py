@@ -98,7 +98,7 @@ def test_criterion_4_positive_witness_4_3():
     witness_group = graph_to_group(result.found[0])
     assert verify_ame_symbolic(witness_group).is_ame
     state = state_from_group(witness_group)
-    dense = verify_ame_dense(state, tol=1e-9)
+    dense = verify_ame_dense(state)
     assert dense.is_ame
     assert dense.worst_deviation < 1e-9
     elapsed = time.perf_counter() - started
@@ -197,9 +197,9 @@ def test_criterion_8_local_unitary_invariance():
     for _ in range(20):
         units = [haar_unitary(6, rng) for _ in range(2)]
         rotated = apply_local_unitary(base, units)
-        report = verify_ame_dense(rotated, tol=1e-8)
+        report = verify_ame_dense(rotated)
         assert report.is_ame
-        assert report.worst_deviation < 1e-8
+        assert report.worst_deviation < 1e-9
     _ok(8, "AME verdict invariant under 20 random local-unitary products")
 
 

@@ -395,8 +395,6 @@ def test_verify_ame_dense_deviation_from_maximally_mixed():
     report = verify_ame_dense(basis_state(3, 2, 0))  # rho on party 0 is |0><0|
     assert not report.is_ame
     assert abs(report.worst_deviation - (1 - 1 / 3)) < 1e-12
-    # the verdict is the deviation against tol, boundary included
-    assert verify_ame_dense(basis_state(3, 2, 0), tol=1 - 1 / 3 + 1e-12).is_ame
 
     report = verify_ame_dense(st)
     assert report.is_ame and report.worst_deviation < 1e-12
@@ -497,9 +495,9 @@ def test_local_unitary_invariance_of_ame_verdict():
     for _ in range(5):
         units = [haar_unitary(6, rng) for _ in range(2)]
         rotated = apply_local_unitary(st, units)
-        report = verify_ame_dense(rotated, tol=1e-8)
+        report = verify_ame_dense(rotated)
         assert report.is_ame
-        assert report.worst_deviation < 1e-8
+        assert report.worst_deviation < 1e-9
     # and a non-AME state stays non-AME
     prod = basis_state(2, 2, 0)
     rotated = apply_local_unitary(prod, [haar_unitary(2, rng) for _ in range(2)])
@@ -513,21 +511,6 @@ def test_apply_local_unitary_rejects_non_unitaries(scale):
     units = [np.eye(3), scale * np.eye(3)]
     with pytest.raises(ValueError, match="matrix 1 is not unitary"):
         apply_local_unitary(st, units)
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
-def test_verify_ame_dense_rejects_a_malformed_tolerance(tol):
-    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
-        verify_ame_dense(state_from_group(bell_group(3)), tol=tol)
-
-
-@pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-13, np.nextafter(statevec.ALGEBRA_TOL, 0)])
-def test_verify_ame_dense_refuses_a_tolerance_below_float_resolution(tol):
-    # once: tol=0 called the Bell state over Z_3 non-AME, its deviation being 1.1e-16
-    state = state_from_group(bell_group(3))
-    with pytest.raises(ValueError, match="below float resolution; it must be >= 1e-12"):
-        verify_ame_dense(state, tol=tol)
-    assert verify_ame_dense(state, tol=statevec.ALGEBRA_TOL).is_ame
 
 
 def test_permute_levels_roundtrip():
