@@ -158,17 +158,22 @@ def decompose(
 def reduce_ame(g: StabilizerGroup, dec: FactorDecomposition) -> list[AmeVerdict]:
     """Report the symbolic AME verdict of every factor of ``dec = decompose(g)``.
 
-    When the input itself is AME, every factor must be AME; a factor that is
-    not would contradict the prime-power reduction property and raises as a fatal
-    inconsistency.
+    The input state is the CRT product of the factor states, so it is AME
+    exactly when every factor is: an AME input with a non-AME factor, or AME
+    factors with a non-AME input, contradicts the prime-power reduction
+    property and raises as a fatal inconsistency.
     """
     input_verdict = verify_ame_symbolic(g)
     verdicts = [verify_ame_symbolic(fg) for fg in dec.factor_groups]
-    if input_verdict.is_ame and not all(v.is_ame for v in verdicts):
-        bad = [dec.factorization.prime_powers[i] for i, v in enumerate(verdicts) if not v.is_ame]
+    if input_verdict.is_ame != all(v.is_ame for v in verdicts):
+        if input_verdict.is_ame:
+            bad = [q for q, v in zip(dec.factorization.prime_powers, verdicts) if not v.is_ame]
+            problem = f"AME input produced non-AME factors {bad}"
+        else:
+            problem = "non-AME input produced only AME factors"
         raise RuntimeError(
-            f"AME input produced non-AME factors {bad}; this contradicts the "
-            "prime-power reduction property and indicates an implementation bug"
+            f"{problem}; this contradicts the prime-power reduction property "
+            "and indicates an implementation bug"
         )
     return verdicts
 

@@ -130,7 +130,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_search(args) -> int:
-    shard = _parse_shard(args.shard) if args.shard else None
+    shard = _parse_shard(args.shard) if args.shard is not None else None
     result = search.search_ame(
         args.parties,
         args.dim,

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 class BudgetExceededError(RuntimeError):
     """A size bound would be exceeded: the dense budget, the search budget, the
-    search's minor plan, a built group's exponents or the nogo grid."""
+    search's party bound n <= 16, a built group's exponents or the nogo grid."""
 
 
 class FactsError(ValueError):

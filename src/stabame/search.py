@@ -23,13 +23,13 @@ Candidate order is row-major lexicographic on the upper-triangle entries,
 with the first entry most significant, so runs are reproducible and the
 space shards cleanly by index range. The search budget bounds the number of
 candidates a run may visit, that is the size of its shard, in either mode,
-and MAX_PLAN_ENTRIES the minor plan that every run builds first.
+and MAX_SEARCH_PARTIES admits n <= 16 only, which bounds the minor plan that
+every run builds first.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -47,11 +47,11 @@ DEFAULT_SEARCH_BUDGET = 10**8
 # CHUNK_ELEMENTS entries and memory stays flat at large n.
 MAX_CHUNK = 4096
 CHUNK_ELEMENTS = 1 << 18
-# Most block entries (tested k-sets x k x (n - k)) a minor plan may hold, so
-# that the plan, built before the first candidate, stays small whatever the
-# budget or mode. n = 16 needs 411 840 entries and is the largest n admitted;
-# n = 17 needs 1 750 320.
-MAX_PLAN_ENTRIES = 10**6
+# Most parties a search admits, so that the minor plan, built before the first
+# candidate, stays small whatever the budget or mode: it holds 411 840 block
+# entries (tested k-sets x k x (n - k)) at n = 16 and would hold 1 750 320 at
+# n = 17.
+MAX_SEARCH_PARTIES = 16
 # Up to this d a product of two residues fits in int64; above it the minors
 # are computed on Python ints (numpy object arrays).
 INT64_DIMENSION_LIMIT = 1 << 31
@@ -148,13 +148,6 @@ class _MinorPlan:
     width: int  # entries per candidate in the largest array of the test
 
 
-def _plan_entries(parties: int) -> int:
-    """Block entries of ``_minor_plan(parties)``: ``ame_subsets`` k-sets x k x (n - k)."""
-    k = parties // 2
-    tested = math.comb(parties, k) // (2 if 2 * k == parties else 1)
-    return tested * k * (parties - k)
-
-
 @functools.cache
 def _minor_plan(parties: int) -> _MinorPlan:
     k = parties // 2
@@ -229,8 +222,8 @@ def search_ame(
 
     Both modes scan the candidates of the shard range (default: the whole
     space) in order; ``mode="first"`` stops at the first witness. Either mode
-    refuses a range larger than ``search_budget``, a negative budget, and a
-    party count whose minor plan would exceed MAX_PLAN_ENTRIES.
+    refuses a range larger than ``search_budget``, a negative budget, and more
+    than MAX_SEARCH_PARTIES parties.
     ``searched`` counts the candidates up to and including the last one
     checked; ``exhausted`` is True only when the whole space was covered.
     """
@@ -239,14 +232,9 @@ def search_ame(
         raise ValueError(f"unknown mode {mode!r}")
     if search_budget < 0:
         raise ValueError(f"search budget must be non-negative, got {search_budget}")
-    # The entries grow at least like 2**(n/2 - 1), so a larger n is refused
-    # without computing its binomial.
-    if (
-        parties > 2 * MAX_PLAN_ENTRIES.bit_length() + 1
-        or _plan_entries(parties) > MAX_PLAN_ENTRIES
-    ):
+    if parties > MAX_SEARCH_PARTIES:
         raise BudgetExceededError(
-            f"the search plan for {parties} parties exceeds {MAX_PLAN_ENTRIES} block entries"
+            f"the search admits at most {MAX_SEARCH_PARTIES} parties, got {parties}"
         )
     slots = num_edge_slots(parties)
     total = dimension**slots

@@ -60,8 +60,33 @@ class StabilizerGroup:
 
     @cached_property
     def validity(self) -> "ValidityReport":
-        """The checks of :func:`validate`, computed once per (immutable) group."""
-        return _check_validity(self)
+        """The checks of :func:`validate`, computed once per (immutable) group.
+
+        A relation is an integer coefficient vector c with c @ M = 0 (mod D);
+        its product prod_j gen_j**c_j has zero exponents, and its phase must
+        vanish for the group to be phase-consistent. The relations that
+        ``ring.kernel_mod`` returns generate the lattice mod D only, so the
+        vectors D * e_j, whose products are gen_j**D, complete it: an element
+        of order 2D has gen**D = lam**D.
+        """
+        gens = self.generators
+        d = self.dimension
+        abelian = all(
+            symplectic_inner(gens[i], gens[j]) == 0
+            for i in range(len(gens))
+            for j in range(i + 1, len(gens))
+        )
+        order, relations = ring.kernel_mod(exponent_matrix(self), d)
+        phase_consistent = abelian and all(power(gen, d).phase_exp == 0 for gen in gens)
+        for c in relations:
+            if not phase_consistent:
+                break
+            elem = generator_product(self, c)
+            if not elem.is_phase_only():
+                raise AssertionError("relation product must have zero exponents")
+            phase_consistent = elem.phase_exp == 0
+        full = order == d**self.parties
+        return ValidityReport(abelian, order, phase_consistent, phase_consistent and full)
 
 
 @dataclass(frozen=True)
@@ -86,24 +111,6 @@ def generator_product(g: StabilizerGroup, coeffs: Sequence[int]) -> PauliProduct
     return elem
 
 
-def _relation_elements(g: StabilizerGroup, relations: Sequence[Sequence[int]]):
-    """Products prod_j gen_j**c_j over a generating set of the relation lattice.
-
-    A relation is an integer coefficient vector c with c @ M = 0 (mod D);
-    each yields a group element with zero exponents whose phase must vanish
-    for the group to be phase-consistent. ``relations`` generate the lattice
-    mod D only, so the vectors D * e_j, whose products are gen_j**D, complete
-    it: an element of order 2D has gen**D = lam**D.
-    """
-    for gen in g.generators:
-        yield power(gen, g.dimension)
-    for c in relations:
-        elem = generator_product(g, c)
-        if not elem.is_phase_only():
-            raise AssertionError("relation product must have zero exponents")
-        yield elem
-
-
 def validate(g: StabilizerGroup) -> ValidityReport:
     """Check the stabilizer-state conditions; reports, never raises, on well-formed input.
 
@@ -118,21 +125,6 @@ def validate(g: StabilizerGroup) -> ValidityReport:
     it, so every later check of the same group is free.
     """
     return g.validity
-
-
-def _check_validity(g: StabilizerGroup) -> ValidityReport:
-    gens = g.generators
-    abelian = all(
-        symplectic_inner(gens[i], gens[j]) == 0
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    )
-    order, relations = ring.kernel_mod(exponent_matrix(g), g.dimension)
-    phase_consistent = abelian and all(
-        e.phase_exp == 0 for e in _relation_elements(g, relations)
-    )
-    full = order == g.dimension**g.parties
-    return ValidityReport(abelian, order, phase_consistent, phase_consistent and full)
 
 
 def require_unique_state(g: StabilizerGroup) -> None:

@@ -18,6 +18,7 @@ from conftest import (
     unimodular_mix,
 )
 from enumeration import first_supported_subset
+from stabame import ame
 from stabame.ame import (
     decompose,
     format_decomposition_report,
@@ -40,6 +41,7 @@ from stabame.stabgroup import (
 )
 from stabame.statevec import (
     ALGEBRA_TOL,
+    AmeVerdict,
     crt_product,
     state_from_group,
     verify_ame_dense,
@@ -393,6 +395,26 @@ def test_reduce_ame_non_ame_input_is_vacuous():
     )
     verdicts = reduce_ame(g, decompose(g))  # must not raise
     assert len(verdicts) == 2
+
+
+def test_reduce_ame_raises_when_input_and_factors_disagree(monkeypatch):
+    g = bell_group(6)
+    dec = decompose(g)
+    real = ame.verify_ame_symbolic
+
+    def flipped(target):
+        def verdict(h):
+            v = real(h)
+            return AmeVerdict(not v.is_ame, v.method) if h is target else v
+
+        return verdict
+
+    monkeypatch.setattr(ame, "verify_ame_symbolic", flipped(dec.factor_groups[0]))
+    with pytest.raises(RuntimeError, match=r"^AME input produced non-AME factors \[2\];"):
+        reduce_ame(g, dec)
+    monkeypatch.setattr(ame, "verify_ame_symbolic", flipped(g))
+    with pytest.raises(RuntimeError, match="^non-AME input produced only AME factors;"):
+        reduce_ame(g, dec)
 
 
 def test_merge_factors_all_recovers_original():

@@ -194,7 +194,7 @@ def test_search_refuses_an_oversized_plan_at_once(tmp_path, capsys):
         assert run([*argv, "--out", str(report)]) == 1
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            "error: the search plan for 2000 parties exceeds 1000000 block entries\n"
+            "error: the search admits at most 16 parties, got 2000\n"
         )
         assert not report.exists()
 
@@ -705,9 +705,14 @@ def test_search_cli_exhaustive_and_shard(tmp_path, capsys):
         ["search", "--parties", "2", "--dim", "3", "--shard", "0:2", "--out", str(shard)]
     ) == 0
     assert "PARTIAL n=2 d=3 searched=2" in shard.read_text()
-    for spec in ("5", "a:b", "1:2:3"):
-        assert run(["search", "--parties", "2", "--dim", "3", "--shard", spec]) == 1
-        assert capsys.readouterr().err == f"error: bad shard spec {spec!r}; expected start:end\n"
+    # "" was once read as no shard: the whole (4,2) space was scanned and
+    # reported EXHAUSTED with a NO-STABILIZER-AME claim
+    refused = tmp_path / "refused.txt"
+    for spec in ("", "5", "a:b", "1:2:3"):
+        argv = ["search", "--parties", "4", "--dim", "2", "--shard", spec, "--out", str(refused)]
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: bad shard spec {spec!r}; expected start:end\n")
+        assert not refused.exists()
 
 
 def test_search_cli_first_witness(tmp_path):

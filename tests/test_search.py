@@ -9,9 +9,7 @@ from stabame import search
 from stabame.ame import verify_ame_symbolic
 from stabame.errors import BudgetExceededError
 from stabame.search import (
-    MAX_PLAN_ENTRIES,
     GraphState,
-    _plan_entries,
     format_certificate,
     format_search_report,
     format_witness_line,
@@ -20,7 +18,7 @@ from stabame.search import (
     parse_witness_line,
     search_ame,
 )
-from stabame.stabgroup import ame_subsets, validate
+from stabame.stabgroup import validate
 from stabame.statevec import state_from_group, verify_ame_dense
 
 
@@ -150,23 +148,20 @@ def test_search_budget():
         search_ame(6, 4, shard=(0, 11), search_budget=10)
 
 
-def test_plan_entries_count_the_ame_subsets_the_plan_is_built_from():
-    for n in range(1, 17):
-        k = n // 2
-        assert _plan_entries(n) == sum(1 for _ in ame_subsets(n)) * k * (n - k)
-
-
 def test_the_plan_bound_admits_16_parties_and_refuses_more_before_any_plan(monkeypatch):
-    assert all(search._minor_plan(n).blocks.size == _plan_entries(n) for n in range(1, 12))
-    assert max(n for n in range(1, 100) if _plan_entries(n) <= MAX_PLAN_ENTRIES) == 16
+    assert search_ame(16, 2, shard=(0, 1)).searched == 1
+    assert search._minor_plan(16).blocks.size == 411840
 
     def no_plan(parties):
-        raise AssertionError("a refused plan must not be built")
+        raise AssertionError("a refused search must not build its plan")
 
     monkeypatch.setattr(search, "_minor_plan", no_plan)
     for parties in (17, 41, 42, 2000, 10**9):
-        with pytest.raises(BudgetExceededError, match=f"plan for {parties} parties exceeds"):
-            search_ame(parties, 2, mode="first", shard=(0, 1))
+        for mode in ("first", "exhaustive"):
+            with pytest.raises(
+                BudgetExceededError, match=f"^the search admits at most 16 parties, got {parties}$"
+            ):
+                search_ame(parties, 2, mode=mode, shard=(0, 1))
 
 
 def test_search_rejects_bad_parameters():
