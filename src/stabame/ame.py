@@ -185,9 +185,9 @@ def merge_factors(groups: Sequence[StabilizerGroup]) -> StabilizerGroup:
     the dimensions (:func:`~stabame.stabgroup.embed_pauli`); the merged
     state is the :func:`~stabame.statevec.crt_product` of the inputs'
     states. The inputs may be the factors of one decomposition or witnesses
-    found apart, say an AME(5,2) and an AME(5,3) group. If every input is AME
-    the merge must be AME too (checked; a violation raises as an internal
-    inconsistency).
+    found apart, say an AME(5,2) and an AME(5,3) group. The merge is AME
+    exactly when every input is (checked both ways; a violation raises as an
+    internal inconsistency).
     """
     if not groups:
         raise ValueError("need at least one group to merge")
@@ -200,12 +200,18 @@ def merge_factors(groups: Sequence[StabilizerGroup]) -> StabilizerGroup:
     d = math.prod(dims)
     gens = tuple(embed_pauli(gen, d) for fg in groups for gen in fg.generators)
     merged = StabilizerGroup(d, parties, gens)
-    if all(verify_ame_symbolic(fg).is_ame for fg in groups):
-        if not verify_ame_symbolic(merged).is_ame:
-            raise RuntimeError(
-                "merge of AME factors is not AME; this contradicts the prime-power "
-                "reduction property and indicates an implementation bug"
-            )
+    inputs_ame = [verify_ame_symbolic(fg).is_ame for fg in groups]
+    merged_ame = verify_ame_symbolic(merged).is_ame
+    if merged_ame != all(inputs_ame):
+        if merged_ame:
+            bad = [fg.dimension for fg, ok in zip(groups, inputs_ame) if not ok]
+            problem = f"merge of non-AME factors {bad} is AME"
+        else:
+            problem = "merge of AME factors is not AME"
+        raise RuntimeError(
+            f"{problem}; this contradicts the prime-power reduction property "
+            "and indicates an implementation bug"
+        )
     return merged
 
 

@@ -7,15 +7,18 @@ the inputs; nothing is written to stderr on success.
 verify exit codes: 0 = AME, 1 = not AME, 2 = input is not a stabilizer-state
 group. Other subcommands: 0 on success. Every error, usage errors too, exits 1.
 
-Each call builds a fresh parser. When the first argument names a subcommand,
-the rest is parsed by that subcommand's own parser, which reports its usage
-errors under its own usage line; anything else (no arguments, ``--help``, an
-unknown name) goes to the full parser with all five.
+When the first argument names a subcommand, the rest is parsed by that
+subcommand's own parser, which reports its usage errors under its own usage
+line. That parser is built once per process and reused; it holds no handler,
+and ``main`` calls the module's ``cmd_<name>`` for the parsed command.
+Anything else (no arguments, ``--help``, an unknown name) goes to the full
+parser with all five, built afresh on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import ame, nogo, search, statevec
@@ -158,27 +161,24 @@ def _yn(flag: bool) -> str:
 
 
 def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    """Add ``command``'s arguments to ``p``, and its handler as ``func``."""
+    """Add ``command``'s arguments to ``p``."""
     if command == "construct":
         p.add_argument("kind", choices=["ghz", "bell", "graph"])
         p.add_argument("--dim", type=int, required=True, help="local dimension D")
         p.add_argument("--parties", type=int, default=2, help="number of parties n")
         p.add_argument("--adjacency", help="upper-triangle entries, space separated (graph)")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.set_defaults(func=cmd_construct)
     elif command == "verify":
         p.add_argument("gens", help="generator file")
         p.add_argument("--method", choices=["symbolic", "dense", "both"], default="symbolic")
         p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
         p.add_argument("--out", help="report file (default: stdout)")
-        p.set_defaults(func=cmd_verify)
     elif command == "decompose":
         p.add_argument("gens", help="generator file")
         p.add_argument("--no-verify", dest="verify", action="store_false",
                        help="skip the per-factor AME verdict lines")
         p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
         p.add_argument("--out", help="report file (default: stdout)")
-        p.set_defaults(func=cmd_decompose)
     elif command == "search":
         p.add_argument("--parties", type=int, required=True)
         p.add_argument("--dim", type=int, required=True)
@@ -186,21 +186,20 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--shard", help="candidate index range start:end")
         p.add_argument("--search-budget", type=int, default=search.DEFAULT_SEARCH_BUDGET)
         p.add_argument("--out", help="witness/certificate file (default: stdout)")
-        p.set_defaults(func=cmd_search)
     else:  # nogo
         p.add_argument("--facts", help="facts file (default: the shipped base fact)")
         p.add_argument("--max-parties", type=int, default=nogo.DEFAULT_MAX_PARTIES)
         p.add_argument("--max-dim", type=int, default=nogo.DEFAULT_MAX_DIM)
         p.add_argument("--format", choices=["csv", "svg"], default="csv")
         p.add_argument("--out", help="table file (default: stdout)")
-        p.set_defaults(func=cmd_nogo)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The stabame parser with every subcommand, or ``command``'s own parser.
 
     ``command``'s own parser is the one the full parser hands that
-    subcommand's arguments to, with ``command`` as a default.
+    subcommand's arguments to, with ``command`` as a default. Every call
+    builds a new parser, which the caller may change.
     """
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"stabame {command}")
@@ -218,10 +217,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per process and shared: parse only."""
+    return build_parser(command)
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with the parser of the subcommand ``argv[0]`` names, or the full one."""
     if argv and argv[0] in COMMANDS:
-        return build_parser(argv[0]).parse_args(argv[1:])
+        return _command_parser(argv[0]).parse_args(argv[1:])
     return build_parser().parse_args(argv)
 
 
@@ -232,8 +237,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parse_args(argv)
     except SystemExit as exc:  # argparse printed --help (0) or a usage error
         return 0 if exc.code == 0 else 1
+    # the handlers are looked up on each call, so a replaced or traced cmd_* runs
+    handler = {
+        "construct": cmd_construct,
+        "verify": cmd_verify,
+        "decompose": cmd_decompose,
+        "search": cmd_search,
+        "nogo": cmd_nogo,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -417,6 +417,25 @@ def test_reduce_ame_raises_when_input_and_factors_disagree(monkeypatch):
         reduce_ame(g, dec)
 
 
+def test_merge_factors_raises_when_inputs_and_merge_disagree(monkeypatch):
+    factors = decompose(bell_group(6)).factor_groups
+    real = ame.verify_ame_symbolic
+
+    def flipped(is_target):
+        def verdict(h):
+            v = real(h)
+            return AmeVerdict(not v.is_ame, v.method) if is_target(h) else v
+
+        return verdict
+
+    monkeypatch.setattr(ame, "verify_ame_symbolic", flipped(lambda h: h is factors[0]))
+    with pytest.raises(RuntimeError, match=r"^merge of non-AME factors \[2\] is AME;"):
+        merge_factors(factors)
+    monkeypatch.setattr(ame, "verify_ame_symbolic", flipped(lambda h: h.dimension == 6))
+    with pytest.raises(RuntimeError, match="^merge of AME factors is not AME;"):
+        merge_factors(factors)
+
+
 def test_merge_factors_all_recovers_original():
     g = bell_group(6)
     dec = decompose(g)

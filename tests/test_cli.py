@@ -422,10 +422,14 @@ def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
 def test_main_dispatches_through_the_module_names(monkeypatch):
     import stabame.cli as cli
 
+    # the search parser is built and cached before cmd_search is replaced
+    assert run(["search", "--parties", "3", "--dim", "2", "--out", os.devnull]) == 0
     seen = []
     monkeypatch.setattr(cli, "cmd_nogo", lambda args: seen.append(args.command) or 0)
+    monkeypatch.setattr(cli, "cmd_search", lambda args: seen.append(args.command) or 7)
     assert run(["nogo"]) == 0
-    assert seen == ["nogo"]
+    assert run(["search", "--parties", "3", "--dim", "2"]) == 7
+    assert seen == ["nogo", "search"]
 
 
 # Argument lists for the narrowed-parser checks: each subcommand as the README
@@ -585,8 +589,9 @@ def test_top_level_usage_errors_name_the_command_argument(capsys):
     assert err.endswith("stabame: error: the following arguments are required: command\n")
 
 
-def test_main_builds_only_the_named_subcommand_and_no_cached_parser(monkeypatch):
+def test_main_builds_each_named_subcommand_parser_once(monkeypatch):
     import argparse
+    import functools
 
     import stabame.cli as cli
 
@@ -603,19 +608,60 @@ def test_main_builds_only_the_named_subcommand_and_no_cached_parser(monkeypatch)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted_add)
     monkeypatch.setattr(cli, "build_parser", counted_build)
+    # an empty cache for this test; the process-wide one comes back afterwards
+    monkeypatch.setattr(cli, "_command_parser", functools.cache(cli._command_parser.__wrapped__))
     monkeypatch.setattr(cli, "cmd_search", lambda args: 0)
     for _ in range(2):
         assert run(["search", "--parties", "3", "--dim", "2"]) == 0
-    assert (added, built) == ([], ["search", "search"])
-    built.clear()
-    assert run(["search", "--parties", "3", "--dim", "2", "junk"]) == 1
     assert (added, built) == ([], ["search"])
     built.clear()
+    assert run(["search", "--parties", "3", "--dim", "2", "junk"]) == 1
+    assert (added, built) == ([], [])
     for argv in (["--help"], ["bogus"]):
         added.clear()
         run(argv)
         assert added == list(COMMANDS)
     assert built == [None, None]
+
+
+def test_a_usage_error_leaves_nothing_for_the_next_request(tmp_path, capsys, monkeypatch):
+    import stabame.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "100")
+    out = tmp_path / "out.txt"
+    # the first request sets --mode and --shard before --parties fails
+    requests = (["search", "--mode", "first", "--shard", "0:9", "--parties", "x", "--dim", "2"],
+                ["search", "--parties", "4", "--dim", "2", "--out", str(out)])
+
+    def outcomes():
+        results = []
+        for argv in requests:
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, out.exists() and out.read_text()))
+            out.unlink(missing_ok=True)
+        return results
+
+    assert run(["search", "--parties", "3", "--dim", "2", "--out", os.devnull]) == 0
+    cached = outcomes()
+    monkeypatch.setattr(cli, "parse_args",
+                        lambda argv: build_parser(argv[0]).parse_args(argv[1:]))
+    assert cached == outcomes()
+    assert cached[0][0] == 1 and "argument --parties: invalid int value: 'x'" in cached[0][2]
+    assert cached[1] == (0, "", "", "EXHAUSTED n=4 d=2 searched=64 witnesses=0\n"
+                                    "NO-STABILIZER-AME n=4 d=2\n")
+
+
+def test_cached_help_follows_the_terminal_width(capsys, monkeypatch):
+    helps = []
+    run(["verify", "--help"])
+    capsys.readouterr()
+    for columns in ("40", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(["verify", "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+        assert helps[-1] == build_parser("verify").format_help()
+    assert helps[0] != helps[1]
 
 
 def test_verify_report_contents(tmp_path, capsys):
