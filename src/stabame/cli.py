@@ -7,12 +7,13 @@ the inputs; nothing is written to stderr on success.
 verify exit codes: 0 = AME, 1 = not AME, 2 = input is not a stabilizer-state
 group. Other subcommands: 0 on success. Every error, usage errors too, exits 1.
 
-When the first argument names a subcommand, the rest is parsed by that
-subcommand's own parser, which reports its usage errors under its own usage
-line. That parser is built once per process and reused; it holds no handler,
-and ``main`` calls the module's ``cmd_<name>`` for the parsed command.
-Anything else (no arguments, ``--help``, an unknown name) goes to the full
-parser with all five, built afresh on each call.
+One parser tree, the root and its five subcommand parsers, is built once per
+process and shared by every call: nothing is rebuilt for ``--help``, an
+unknown name or an empty command line. When the first argument names a
+subcommand, the rest is parsed by that subcommand's parser, which reports its
+usage errors under its own usage line; anything else goes to the root. The
+parsers hold no handler: ``main`` calls the module's ``cmd_<name>`` for the
+parsed command.
 """
 
 from __future__ import annotations
@@ -32,16 +33,6 @@ from .stabgroup import (
     parse_generator_file,
     validate,
 )
-
-
-# Subcommand names, in the order help lists them, with their one-line help.
-COMMANDS = {
-    "construct": "emit a generator file for a standard state",
-    "verify": "check whether a generator file is AME",
-    "decompose": "split a composite-D group into prime-power factors",
-    "search": "exhaustive graph-state AME search at (n, d)",
-    "nogo": "emit the (n, D) stabilizer-AME exclusion table",
-}
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -160,74 +151,65 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    """Add ``command``'s arguments to ``p``."""
-    if command == "construct":
-        p.add_argument("kind", choices=["ghz", "bell", "graph"])
-        p.add_argument("--dim", type=int, required=True, help="local dimension D")
-        p.add_argument("--parties", type=int, default=2, help="number of parties n")
-        p.add_argument("--adjacency", help="upper-triangle entries, space separated (graph)")
-        p.add_argument("--out", help="output file (default: stdout)")
-    elif command == "verify":
-        p.add_argument("gens", help="generator file")
-        p.add_argument("--method", choices=["symbolic", "dense", "both"], default="symbolic")
-        p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
-        p.add_argument("--out", help="report file (default: stdout)")
-    elif command == "decompose":
-        p.add_argument("gens", help="generator file")
-        p.add_argument("--no-verify", dest="verify", action="store_false",
-                       help="skip the per-factor AME verdict lines")
-        p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
-        p.add_argument("--out", help="report file (default: stdout)")
-    elif command == "search":
-        p.add_argument("--parties", type=int, required=True)
-        p.add_argument("--dim", type=int, required=True)
-        p.add_argument("--mode", choices=["first", "exhaustive"], default="exhaustive")
-        p.add_argument("--shard", help="candidate index range start:end")
-        p.add_argument("--search-budget", type=int, default=search.DEFAULT_SEARCH_BUDGET)
-        p.add_argument("--out", help="witness/certificate file (default: stdout)")
-    else:  # nogo
-        p.add_argument("--facts", help="facts file (default: the shipped base fact)")
-        p.add_argument("--max-parties", type=int, default=nogo.DEFAULT_MAX_PARTIES)
-        p.add_argument("--max-dim", type=int, default=nogo.DEFAULT_MAX_DIM)
-        p.add_argument("--format", choices=["csv", "svg"], default="csv")
-        p.add_argument("--out", help="table file (default: stdout)")
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The stabame parser and its subcommands' parsers by name, built once per process.
 
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The stabame parser with every subcommand, or ``command``'s own parser.
-
-    ``command``'s own parser is the one the full parser hands that
-    subcommand's arguments to, with ``command`` as a default. Every call
-    builds a new parser, which the caller may change.
+    Shared by every call: parse with them, never change them.
     """
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"stabame {command}")
-        _add_arguments(parser, command)
-        parser.set_defaults(command=command)
-        return parser
-    parser = argparse.ArgumentParser(
+    root = argparse.ArgumentParser(
         prog="stabame",
         description="Qudit stabilizer toolkit: AME verification, prime-power "
         "decomposition, graph-state search, and no-go tables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
-    return parser
+    sub = root.add_subparsers(dest="command", required=True)
 
+    p = sub.add_parser("construct", help="emit a generator file for a standard state")
+    p.add_argument("kind", choices=["ghz", "bell", "graph"])
+    p.add_argument("--dim", type=int, required=True, help="local dimension D")
+    p.add_argument("--parties", type=int, default=2, help="number of parties n")
+    p.add_argument("--adjacency", help="upper-triangle entries, space separated (graph)")
+    p.add_argument("--out", help="output file (default: stdout)")
 
-@functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """``build_parser(command)``, built once per process and shared: parse only."""
-    return build_parser(command)
+    p = sub.add_parser("verify", help="check whether a generator file is AME")
+    p.add_argument("gens", help="generator file")
+    p.add_argument("--method", choices=["symbolic", "dense", "both"], default="symbolic")
+    p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
+    p.add_argument("--out", help="report file (default: stdout)")
+
+    p = sub.add_parser("decompose", help="split a composite-D group into prime-power factors")
+    p.add_argument("gens", help="generator file")
+    p.add_argument("--no-verify", dest="verify", action="store_false",
+                   help="skip the per-factor AME verdict lines")
+    p.add_argument("--dense-budget", type=int, default=statevec.DEFAULT_DENSE_BUDGET)
+    p.add_argument("--out", help="report file (default: stdout)")
+
+    p = sub.add_parser("search", help="exhaustive graph-state AME search at (n, d)")
+    p.add_argument("--parties", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--mode", choices=["first", "exhaustive"], default="exhaustive")
+    p.add_argument("--shard", help="candidate index range start:end")
+    p.add_argument("--search-budget", type=int, default=search.DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--out", help="witness/certificate file (default: stdout)")
+
+    p = sub.add_parser("nogo", help="emit the (n, D) stabilizer-AME exclusion table")
+    p.add_argument("--facts", help="facts file (default: the shipped base fact)")
+    p.add_argument("--max-parties", type=int, default=nogo.DEFAULT_MAX_PARTIES)
+    p.add_argument("--max-dim", type=int, default=nogo.DEFAULT_MAX_DIM)
+    p.add_argument("--format", choices=["csv", "svg"], default="csv")
+    p.add_argument("--out", help="table file (default: stdout)")
+
+    for name, parser in sub.choices.items():
+        parser.set_defaults(command=name)
+    return root, sub.choices
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with the parser of the subcommand ``argv[0]`` names, or the full one."""
-    if argv and argv[0] in COMMANDS:
-        return _command_parser(argv[0]).parse_args(argv[1:])
-    return build_parser().parse_args(argv)
+    """Parse ``argv`` with the parser of the subcommand ``argv[0]`` names, or the root one."""
+    root, commands = _parsers()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:])
+    return root.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

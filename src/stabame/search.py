@@ -263,8 +263,7 @@ def search_ame(
 
 def format_witness_line(graph: GraphState) -> str:
     """``n d : a_12 a_13 ... a_(n-1)n`` (upper triangle, row-major)."""
-    upper = " ".join(map(str, graph.upper))
-    return f"{graph.parties} {graph.dimension} : {upper}"
+    return " ".join([f"{graph.parties} {graph.dimension} :", *map(str, graph.upper)])
 
 
 def parse_witness_line(line: str) -> GraphState:

@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import json
 import os
 import shlex
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 import stabame
 from conftest import crt_combine, random_graph, random_graph_group, random_pauli, unimodular_mix
 from stabame.ame import verify_ame_symbolic
-from stabame.cli import COMMANDS, build_parser, main
+from stabame import cli
+from stabame.cli import main
 from stabame.pauli import multiply, power
 from stabame.ring import factorize
 from stabame.search import GraphState, graph_to_group
@@ -420,9 +422,7 @@ def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
 
 
 def test_main_dispatches_through_the_module_names(monkeypatch):
-    import stabame.cli as cli
-
-    # the search parser is built and cached before cmd_search is replaced
+    # the parser tree is built and cached before cmd_search is replaced
     assert run(["search", "--parties", "3", "--dim", "2", "--out", os.devnull]) == 0
     seen = []
     monkeypatch.setattr(cli, "cmd_nogo", lambda args: seen.append(args.command) or 0)
@@ -513,18 +513,15 @@ def _case_argv(argv, tmp_path):
 
 
 def _full_parse(argv):
-    """Parse ``argv`` with the full parser; arguments left over after a named
-    subcommand are reported by that subcommand's parser within it."""
-    import argparse
-
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    """Parse ``argv`` from the root of a fresh parser tree; arguments left over
+    after a named subcommand are reported by that subcommand's parser within it."""
+    root, commands = cli._parsers.__wrapped__()
+    args, extras = root.parse_known_args(argv)
     if not extras:
         return args
-    if argv[0] in COMMANDS:
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return sub.choices[argv[0]].parse_args(argv[1:])
-    return parser.parse_args(argv)
+    if argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:])
+    return root.parse_args(argv)
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -541,8 +538,6 @@ def _parse_outcome(parse, argv, capsys):
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_the_narrowed_parser_parses_like_the_full_one(tmp_path, capsys, monkeypatch, argv,
                                                       columns):
-    import stabame.cli as cli
-
     monkeypatch.setenv("COLUMNS", columns)
     argv = _case_argv(argv, tmp_path)
     narrowed = _parse_outcome(cli.parse_args, argv, capsys)
@@ -552,8 +547,6 @@ def test_the_narrowed_parser_parses_like_the_full_one(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_the_console_script_runs_like_the_full_parser(tmp_path, capsys, monkeypatch, argv):
-    import stabame.cli as cli
-
     argv = _case_argv(argv, tmp_path)
     out = tmp_path / "out.txt"
     monkeypatch.setattr(sys, "argv", ["stabame", *argv])
@@ -566,6 +559,29 @@ def test_the_console_script_runs_like_the_full_parser(tmp_path, capsys, monkeypa
         outcomes.append((code, captured.out, captured.err, out.exists() and out.read_text()))
         out.unlink(missing_ok=True)
     assert outcomes[0] == outcomes[1]
+
+
+# SHA-256 over main's (exit code, stdout, stderr, report) for every
+# PARSER_CASES argv at COLUMNS=40 and 100, taken while the named subcommands
+# still had standalone parsers and the full tree was built on each other call.
+# The parity tests compare the parser with a reference built by the same code,
+# so this digest is what pins the command line's bytes across a parser change.
+PARSE_OUTCOMES_DIGEST = "9459c0aeea48b213e1d19705012efcc481370993ff71964ffed0308d7d64194b"
+
+
+def test_main_outcomes_on_the_parser_cases_are_byte_identical(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out.txt"
+    outcomes = []
+    for columns in ("40", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in PARSER_CASES:
+            code = run(_case_argv(argv, tmp_path))
+            captured = capsys.readouterr()
+            report = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            outcomes.append([code, captured.out, captured.err, report])
+    text = json.dumps(outcomes).replace(str(tmp_path), "TMP")
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSE_OUTCOMES_DIGEST
 
 
 @pytest.mark.parametrize(("argv", "usage", "extras"), LEFTOVER_CASES,
@@ -589,44 +605,39 @@ def test_top_level_usage_errors_name_the_command_argument(capsys):
     assert err.endswith("stabame: error: the following arguments are required: command\n")
 
 
-def test_main_builds_each_named_subcommand_parser_once(monkeypatch):
+def test_main_builds_the_parser_tree_once(monkeypatch):
     import argparse
     import functools
 
-    import stabame.cli as cli
-
-    added, built = [], []
+    names = ["construct", "verify", "decompose", "search", "nogo"]
+    added, seen = [], []
     add_parser = argparse._SubParsersAction.add_parser
 
     def counted_add(self, name, **kwargs):
         added.append(name)
         return add_parser(self, name, **kwargs)
 
-    def counted_build(command=None):
-        built.append(command)
-        return build_parser(command)
-
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted_add)
-    monkeypatch.setattr(cli, "build_parser", counted_build)
-    # an empty cache for this test; the process-wide one comes back afterwards
-    monkeypatch.setattr(cli, "_command_parser", functools.cache(cli._command_parser.__wrapped__))
-    monkeypatch.setattr(cli, "cmd_search", lambda args: 0)
-    for _ in range(2):
-        assert run(["search", "--parties", "3", "--dim", "2"]) == 0
-    assert (added, built) == ([], ["search"])
-    built.clear()
-    assert run(["search", "--parties", "3", "--dim", "2", "junk"]) == 1
-    assert (added, built) == ([], [])
-    for argv in (["--help"], ["bogus"]):
+    for name in names:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(args.command) or 0)
+    calls = [["construct", "ghz", "--dim", "2"], ["verify", "GENS"], ["decompose", "GENS"],
+             ["search", "--parties", "3", "--dim", "2"], ["nogo"],
+             ["search", "--parties", "3", "--dim", "2", "junk"], ["--help"], ["bogus"], []]
+    # the first call of any kind builds the whole tree; the process-wide cache
+    # comes back after the test
+    for first in calls:
+        monkeypatch.setattr(cli, "_parsers", functools.cache(cli._parsers.__wrapped__))
         added.clear()
-        run(argv)
-        assert added == list(COMMANDS)
-    assert built == [None, None]
+        run(first)
+        assert added == names
+        added.clear()
+        for argv in calls:
+            run(argv)
+        assert added == []
+    assert seen[-len(names):] == names
 
 
 def test_a_usage_error_leaves_nothing_for_the_next_request(tmp_path, capsys, monkeypatch):
-    import stabame.cli as cli
-
     monkeypatch.setenv("COLUMNS", "100")
     out = tmp_path / "out.txt"
     # the first request sets --mode and --shard before --parties fails
@@ -645,7 +656,7 @@ def test_a_usage_error_leaves_nothing_for_the_next_request(tmp_path, capsys, mon
     assert run(["search", "--parties", "3", "--dim", "2", "--out", os.devnull]) == 0
     cached = outcomes()
     monkeypatch.setattr(cli, "parse_args",
-                        lambda argv: build_parser(argv[0]).parse_args(argv[1:]))
+                        lambda argv: cli._parsers.__wrapped__()[1][argv[0]].parse_args(argv[1:]))
     assert cached == outcomes()
     assert cached[0][0] == 1 and "argument --parties: invalid int value: 'x'" in cached[0][2]
     assert cached[1] == (0, "", "", "EXHAUSTED n=4 d=2 searched=64 witnesses=0\n"
@@ -653,15 +664,17 @@ def test_a_usage_error_leaves_nothing_for_the_next_request(tmp_path, capsys, mon
 
 
 def test_cached_help_follows_the_terminal_width(capsys, monkeypatch):
-    helps = []
     run(["verify", "--help"])
     capsys.readouterr()
-    for columns in ("40", "100"):
-        monkeypatch.setenv("COLUMNS", columns)
-        assert run(["verify", "--help"]) == 0
-        helps.append(capsys.readouterr().out)
-        assert helps[-1] == build_parser("verify").format_help()
-    assert helps[0] != helps[1]
+    for argv in (["verify", "--help"], ["--help"]):
+        helps = []
+        for columns in ("40", "100"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run(argv) == 0
+            helps.append(capsys.readouterr().out)
+            root, commands = cli._parsers.__wrapped__()
+            assert helps[-1] == commands.get(argv[0], root).format_help()
+        assert helps[0] != helps[1]
 
 
 def test_verify_report_contents(tmp_path, capsys):

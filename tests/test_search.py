@@ -195,6 +195,14 @@ def test_witness_line_roundtrip():
         parse_witness_line("4 3 : 0 1 1 1 2 3")
 
 
+def test_a_one_party_witness_line_ends_at_the_colon():
+    # once "1 2 : ", which the grammar ``n d : a_12 ...`` does not admit
+    report = format_search_report(1, 2, search_ame(1, 2))
+    assert report == "1 2 :\nEXHAUSTED n=1 d=2 searched=1 witnesses=1\n"
+    for line in ("1 2 :", "1 2 : "):
+        assert parse_witness_line(line) == GraphState(2, 1, ())
+
+
 def test_certificate_and_report_format():
     assert (
         format_certificate(4, 2, 64, 0) == "EXHAUSTED n=4 d=2 searched=64 witnesses=0"
