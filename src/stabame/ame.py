@@ -12,8 +12,12 @@ The symbolic AME criterion used here: a stabilizer state is AME exactly when
 no nonidentity group element is supported entirely inside any floor(n/2)-party
 subset. Every symbolic verdict counts those elements per subset, whatever the
 group order, from the order of the span of the exponent columns outside the
-subset (a transform-free diagonalization mod D); only the first failing
-subset is eliminated again, carrying its left transform, for its witness.
+subset. That order is read off the group's one unit-pivot echelon form (the
+one validation reads too): each pivot row whose pivot party lies outside the
+subset spans a factor D by itself, and only the residual block of the other
+rows needs a transform-free diagonalization mod D. Only the first failing
+subset is eliminated again, on the original generators and carrying its
+left transform, for its witness.
 The test suite checks the verdicts against element-by-element enumeration
 and against the dense oracle rather than assuming them.
 """
@@ -68,21 +72,37 @@ def verify_ame_symbolic(g: StabilizerGroup) -> AmeVerdict:
     vector. The elements supported inside S are the kernel of restricting
     the exponents to the columns outside S, so there are
     D**n / |span of M_outside| of them and S fails exactly when the outside
-    columns span fewer than D**n vectors. A non-AME verdict names the first
-    failing subset in ``combinations`` order; only that subset is eliminated
-    again with its left transform (``ring.kernel_mod``): its relations mod D
-    generate those elements up to gen**D, which is the identity in a valid
-    group, so the first non-identity product over them is the witness.
+    columns span fewer than D**n vectors.
+
+    That span is read off ``g.echelon``, whose rows span the same subgroup.
+    A row whose pivot party lies outside S is the only row nonzero in its
+    pivot column, an outside column, so it adds a factor D by itself. The
+    remaining rows are zero in those columns, and the pivots of the rows
+    among them lie inside S, so only their non-pivot outside columns are
+    diagonalized: S passes exactly when D**(retired rows) times that block's
+    span order is D**n. For a graph-state group the block is A[S, S^c].
+
+    A non-AME verdict names the first failing subset in ``combinations``
+    order; only that subset is eliminated again, on the generators' own
+    outside columns, with its left transform (``ring.kernel_mod``): its
+    relations mod D generate those elements up to gen**D, which is the
+    identity in a valid group, so the first non-identity product over them
+    is the witness.
     """
     require_unique_state(g)
     d = g.dimension
     n = g.parties
     full = d**n
-    matrix = exponent_matrix(g)
+    pivots, rows = g.echelon
+    pivot_parties = [None if c is None else c % n for c in pivots]
+    free_cols = [c for c in range(2 * n) if c not in pivots]
     for sub in ame_subsets(n):
-        outside_cols = [c for c in range(2 * n) if (c % n) not in sub]
-        restricted = [[row[c] for c in outside_cols] for row in matrix]
-        if ring.span_order_mod(restricted, d) < full:
+        kept = [row for party, row in zip(pivot_parties, rows) if party is None or party in sub]
+        cols = [c for c in free_cols if (c % n) not in sub]
+        block = [[row[c] for c in cols] for row in kept]
+        if d ** (len(rows) - len(kept)) * ring.span_order_mod(block, d) < full:
+            outside_cols = [c for c in range(2 * n) if (c % n) not in sub]
+            restricted = [[row[c] for c in outside_cols] for row in exponent_matrix(g)]
             _, relations = ring.kernel_mod(restricted, d)
             witness = None
             for c in relations:

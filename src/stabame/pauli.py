@@ -119,13 +119,6 @@ def power(p: PauliProduct, k: int) -> PauliProduct:
     return PauliProduct(d, p.parties, phase, x, z)
 
 
-def symplectic_inner(a: PauliProduct, b: PauliProduct) -> int:
-    """(z_a . x_b - x_a . z_b) mod D; zero exactly when a and b commute."""
-    _check_compatible(a, b)
-    val = sum(za * xb - xa * zb for xa, za, xb, zb in zip(a.x_exp, a.z_exp, b.x_exp, b.z_exp))
-    return val % a.dimension
-
-
 def format_pauli(p: PauliProduct) -> str:
     """Serialize as ``gamma | x_1 ... x_n | z_1 ... z_n`` (decimal, pipe-separated)."""
     return "{} | {} | {}".format(
@@ -136,17 +129,19 @@ def format_pauli(p: PauliProduct) -> str:
 def parse_pauli(line: str, dimension: int, parties: int) -> PauliProduct:
     """Parse the text serialization produced by :func:`format_pauli`.
 
-    Out-of-range integers are reduced into their canonical ranges.
+    Out-of-range integers are reduced into their canonical ranges, each
+    token as it is read.
     """
-    blocks = [blk.strip() for blk in line.split("|")]
+    blocks = line.split("|")
     if len(blocks) != 3:
         raise ValueError(f"expected 3 pipe-separated blocks, got {len(blocks)}: {line!r}")
+    check_size(dimension, parties)  # before the reductions below divide by the dimension
     try:
-        phase = int(blocks[0])
-        x = [int(tok) for tok in blocks[1].split()]
-        z = [int(tok) for tok in blocks[2].split()]
+        phase = int(blocks[0]) % (2 * dimension)
+        x = tuple(int(tok) % dimension for tok in blocks[1].split())
+        z = tuple(int(tok) % dimension for tok in blocks[2].split())
     except ValueError as exc:
         raise ValueError(f"bad integer in Pauli line {line!r}") from exc
     if len(x) != parties or len(z) != parties:
         raise ValueError(f"expected {parties} exponents per block in {line!r}")
-    return make_pauli(dimension, parties, phase, x, z)
+    return PauliProduct(dimension, parties, phase, x, z)

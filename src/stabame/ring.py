@@ -1,13 +1,17 @@
 """Exact integer arithmetic: factorization, CRT, span orders and kernels mod D.
 
 Everything here is pure and exact (Python big integers, no floats). One
-elimination mod D backs all the linear algebra. The span order that the
-symbolic AME verifier evaluates per subset carries no transform: it first
-retires every unit pivot (an entry prime to D) with plain row subtractions,
-then diagonalizes what is left. The relations among generators that group
-validation and witnesses need come from the one diagonalization carrying its
-left transform, with no unit shortcut, since those relations choose the
-printed witness; a linear system mod D is solved from those relations too.
+elimination mod D backs all the linear algebra. A group's exponent matrix is
+brought once into unit-pivot echelon form (:func:`unit_echelon_mod`): every
+pivot is 1, alone in its column. Its pivot rows each span a cyclic factor of
+order D on their own, so validation, and the symbolic AME verifier for every
+subset, only eliminate the small residual block those rows leave. The span
+order of that block carries no transform: it first retires every unit pivot
+(an entry prime to D) with plain row subtractions, then diagonalizes what is
+left. Relations among generators are needed only for dependent generators
+and for a witness; they come from the one diagonalization carrying its left
+transform, with no unit shortcut, since those relations choose the printed
+witness. A linear system mod D is solved from those relations too.
 
 Factorization is bounded: trial division runs only below
 ``TRIAL_DIVISION_BOUND`` (2**20), and a cofactor left past it is accepted
@@ -218,6 +222,43 @@ def _diagonalize_mod(rows: Sequence[Sequence[int]], modulus: int, width: int):
             del row[c]
     out.extend((0, row[width:]) for row in a)
     return out
+
+
+def unit_echelon_mod(
+    rows: Sequence[Sequence[int]], modulus: int
+) -> tuple[list[int | None], list[list[int]]]:
+    """Unit-pivot echelon form of ``rows`` mod ``modulus``: (pivots, reduced rows).
+
+    Column by column, the first row that is not yet a pivot row and holds a
+    unit u (gcd(u, modulus) = 1) there becomes the column's pivot row: it is
+    scaled by u^-1, so its pivot is 1, and the column is cleared from every
+    other row. Each step is a unimodular row step, so the reduced rows span
+    the same subgroup of Z_modulus^c. ``pivots[i]`` is the pivot column of
+    reduced row i, or None for a row that got none; such a row is zero in
+    every pivot column, though it may still hold units elsewhere.
+    """
+    m = modulus
+    a = [[v % m for v in row] for row in rows]
+    pivots: list[int | None] = [None] * len(a)
+    free = len(a)
+    for c in range(len(a[0]) if a else 0):
+        if not free:
+            break
+        for i, top in enumerate(a):
+            if pivots[i] is None and math.gcd(top[c], m) == 1:
+                break
+        else:
+            continue
+        if top[c] != 1:
+            inverse = pow(top[c], -1, m)
+            top = a[i] = [v * inverse % m for v in top]
+        pivots[i] = c
+        free -= 1
+        for k, row in enumerate(a):
+            f = row[c]
+            if f and k != i:
+                a[k] = [(x - f * y) % m for x, y in zip(row, top)]
+    return pivots, a
 
 
 def span_order_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:

@@ -2,15 +2,21 @@
 
 A generator list claims to stabilize a unique state when the generated group
 is abelian, phase-consistent (no lam**g * identity with g != 0 in the group),
-and has order exactly D**n. One elimination of the exponent matrix mod D
-(``ring.kernel_mod``) gives the order and the relations among the
-generators; phase consistency is checked on the products over those
-relations and on each gen**D, so no group is ever listed element by element.
+and has order exactly D**n. Each group brings its exponent matrix once into
+unit-pivot echelon form mod D (``ring.unit_echelon_mod``), and both
+validation and the symbolic AME scan read that one echelon. The order is
+D**(number of pivots) times the span order of the rows left without one.
+Only when that order is below D**r, for r generators, are the generators
+dependent; then one more elimination (``ring.kernel_mod``) gives the
+relations among them. Phase consistency is checked on the products over
+those relations and on each gen**D, so no group is ever listed element by
+element.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -26,7 +32,6 @@ from .pauli import (
     multiply,
     parse_pauli,
     power,
-    symplectic_inner,
 )
 
 
@@ -59,25 +64,45 @@ class StabilizerGroup:
                 raise ValueError("generator dimension/parties mismatch")
 
     @cached_property
+    def echelon(self) -> tuple[list[int | None], list[list[int]]]:
+        """The unit-pivot echelon form of :func:`exponent_matrix` mod D
+        (``ring.unit_echelon_mod``), computed once per (immutable) group and
+        read by both :func:`validate` and the symbolic AME scan."""
+        return ring.unit_echelon_mod(exponent_matrix(self), self.dimension)
+
+    @cached_property
     def validity(self) -> "ValidityReport":
         """The checks of :func:`validate`, computed once per (immutable) group.
 
-        A relation is an integer coefficient vector c with c @ M = 0 (mod D);
-        its product prod_j gen_j**c_j has zero exponents, and its phase must
-        vanish for the group to be phase-consistent. The relations that
-        ``ring.kernel_mod`` returns generate the lattice mod D only, so the
-        vectors D * e_j, whose products are gen_j**D, complete it: an element
-        of order 2D has gen**D = lam**D.
+        A pivot row of :attr:`echelon` is the only row nonzero in its pivot
+        column, where it holds 1, so it spans a cyclic factor of order D by
+        itself, and the order is D**(pivots) times the span order of the rows
+        without a pivot. A relation is an integer coefficient vector c with
+        c @ M = 0 (mod D); its product prod_j gen_j**c_j has zero exponents,
+        and its phase must vanish for the group to be phase-consistent. At
+        order D**r, for r generators, c -> c @ M is injective mod D and every
+        relation is zero mod D; only below it does ``ring.kernel_mod`` run.
+        Its relations generate the lattice mod D only, so the vectors D * e_j,
+        whose products are gen_j**D, complete it: an element of order 2D has
+        gen**D = lam**D.
         """
         gens = self.generators
         d = self.dimension
+        # a and b commute exactly when z_a . x_b - x_a . z_b = 0 (mod D)
         abelian = all(
-            symplectic_inner(gens[i], gens[j]) == 0
-            for i in range(len(gens))
-            for j in range(i + 1, len(gens))
+            (_dot(a.z_exp, b.x_exp) - _dot(a.x_exp, b.z_exp)) % d == 0
+            for i, a in enumerate(gens)
+            for b in gens[i + 1 :]
         )
-        order, relations = ring.kernel_mod(exponent_matrix(self), d)
-        phase_consistent = abelian and all(power(gen, d).phase_exp == 0 for gen in gens)
+        pivots, rows = self.echelon
+        rest = [row for row, pivot in zip(rows, pivots) if pivot is None]
+        order = d ** (len(rows) - len(rest)) * ring.span_order_mod(rest, d)
+        relations = ring.kernel_mod(exponent_matrix(self), d)[1] if order < d ** len(gens) else []
+        # gen**D has phase exponent D * gamma - D(D-1)(z.x) (mod 2D), by the
+        # closed form of pauli.power; it vanishes when gamma - (D-1)(z.x) is even
+        phase_consistent = abelian and all(
+            (gen.phase_exp - (d - 1) * _dot(gen.z_exp, gen.x_exp)) % 2 == 0 for gen in gens
+        )
         for c in relations:
             if not phase_consistent:
                 break
@@ -87,6 +112,10 @@ class StabilizerGroup:
             phase_consistent = elem.phase_exp == 0
         full = order == d**self.parties
         return ValidityReport(abelian, order, phase_consistent, phase_consistent and full)
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(operator.mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -114,8 +143,10 @@ def generator_product(g: StabilizerGroup, coeffs: Sequence[int]) -> PauliProduct
 def validate(g: StabilizerGroup) -> ValidityReport:
     """Check the stabilizer-state conditions; reports, never raises, on well-formed input.
 
-    * abelian: all generator pairs have vanishing symplectic inner product.
-    * order: size of the exponent-vector subgroup of Z_D^(2n), by elimination mod D.
+    * abelian: all generator pairs have vanishing symplectic inner product
+      z_a . x_b - x_a . z_b (mod D).
+    * order: size of the exponent-vector subgroup of Z_D^(2n), read off the
+      group's unit-pivot echelon form mod D.
     * phase_consistent: the list is abelian and every relation among the
       generators multiplies out to the exact identity (phase exponent 0),
       checked on a relation basis. A non-abelian list always generates some

@@ -8,7 +8,10 @@ elements, basis states, local unitaries, the CRT split, idempotents and
 cofactors with recombination and coefficients, the CRT relabeling
 permutation with the factor-digit tensor and level relabeling it feeds, the
 two-step Sylow-then-project factor map, the scalar candidate decoder) have
-no caller in the package.
+no caller in the package. So have the symplectic pairing, the per-subset
+span-order scan that the echelon-based AME scan is checked against, and
+the random Clifford gates that build non-free stabilizer groups over prime
+powers.
 """
 
 import math
@@ -19,9 +22,9 @@ import numpy as np
 
 from stabame.errors import BudgetExceededError
 from stabame.pauli import PauliProduct, make_pauli, multiply, power
-from stabame.ring import PrimePowerFactorization
+from stabame.ring import PrimePowerFactorization, span_order_mod
 from stabame.search import GraphState, graph_to_group, num_edge_slots
-from stabame.stabgroup import StabilizerGroup, generator_product
+from stabame.stabgroup import StabilizerGroup, ame_subsets, exponent_matrix, generator_product
 from stabame.statevec import NORM_TOL, DenseState, fidelity
 
 
@@ -86,6 +89,14 @@ def apply_pauli(p: PauliProduct, vec: np.ndarray) -> np.ndarray:
     return phases * vec[source]
 
 
+def symplectic_inner(a: PauliProduct, b: PauliProduct) -> int:
+    """(z_a . x_b - x_a . z_b) mod D; zero exactly when a and b commute."""
+    if (a.dimension, a.parties) != (b.dimension, b.parties):
+        raise ValueError("incompatible operands")
+    val = sum(za * xb - xa * zb for xa, za, xb, zb in zip(a.x_exp, a.z_exp, b.x_exp, b.z_exp))
+    return val % a.dimension
+
+
 def order_by_multiplication(p: PauliProduct) -> int:
     """Smallest k >= 1 with p**k = identity, by repeated multiply (no power)."""
     acc, k = p, 1
@@ -145,6 +156,91 @@ def unimodular_mix(rng: np.random.Generator, g: StabilizerGroup) -> StabilizerGr
         g.parties,
         tuple(generator_product(g, [int(c) for c in row]) for row in u[rng.permutation(k)]),
     )
+
+
+def reference_first_failing_subset(g: StabilizerGroup):
+    """The symbolic AME scan without the echelon: the first subset of
+    ``ame_subsets`` whose outside exponent columns of the generators span
+    fewer than D**n vectors mod D, or None. The reference that
+    ``verify_ame_symbolic`` is checked against."""
+    n, d = g.parties, g.dimension
+    matrix = exponent_matrix(g)
+    for sub in ame_subsets(n):
+        outside = [c for c in range(2 * n) if c % n not in sub]
+        if span_order_mod([[row[c] for c in outside] for row in matrix], d) < d**n:
+            return sub
+    return None
+
+
+def _conjugate(g: StabilizerGroup, images) -> StabilizerGroup:
+    """U g U^dagger for a Clifford U given by the images (img X_k, img Z_k) of
+    the single-site X_k and Z_k. In normal order, lam**c X**x Z**z is lam**c
+    times the product of every X_k**x_k, then of every Z_k**z_k, so its image
+    is that product over the images, phases included."""
+    d, n = g.dimension, g.parties
+    gens = []
+    for gen in g.generators:
+        elem = make_pauli(d, n, gen.phase_exp)
+        for k, x in enumerate(gen.x_exp):
+            elem = multiply(elem, power(images[k][0], x))
+        for k, z in enumerate(gen.z_exp):
+            elem = multiply(elem, power(images[k][1], z))
+        gens.append(elem)
+    return StabilizerGroup(d, n, tuple(gens))
+
+
+def random_clifford_step(rng: np.random.Generator, g: StabilizerGroup) -> StabilizerGroup:
+    """Conjugate ``g`` by one random Clifford gate, so a valid group stays
+    valid: the Fourier gate (X -> Z**-1, Z -> X), a multiplier |j> -> |u j>
+    for a unit u (X -> X**u, Z -> Z**(u**-1)), or CSUM**c from a to b,
+    |i, j> -> |i, j + c i> (X_a -> X_a X_b**c, Z_b -> Z_a**-c Z_b). Every
+    image is a product of single-site X and Z powers with phase 0, as the
+    gate's action on basis states shows."""
+    d, n = g.dimension, g.parties
+
+    def site(k, x=0, z=0):
+        xs, zs = [0] * n, [0] * n
+        xs[k], zs[k] = x, z
+        return make_pauli(d, n, 0, xs, zs)
+
+    images = [(site(k, x=1), site(k, z=1)) for k in range(n)]
+    gate = int(rng.integers(0, 3)) if n > 1 else int(rng.integers(0, 2))
+    a = int(rng.integers(0, n))
+    if gate == 0:
+        images[a] = (site(a, z=-1), site(a, x=1))
+    elif gate == 1:
+        u = int(rng.choice([v for v in range(1, d) if math.gcd(v, d) == 1]))
+        images[a] = (site(a, x=u), site(a, z=pow(u, -1, d)))
+    else:
+        b = int(rng.choice([k for k in range(n) if k != a]))
+        c = int(rng.integers(1, d))
+        images[a] = (multiply(site(a, x=1), site(b, x=c)), images[a][1])
+        images[b] = (images[b][0], multiply(site(a, z=-c), site(b, z=1)))
+    return _conjugate(g, images)
+
+
+def non_free_lagrangian(rng: np.random.Generator, p: int, k: int, n: int) -> StabilizerGroup:
+    """A random stabilizer group over Z_(p**k) whose exponent vectors are, in
+    general, not a free Z_(p**k) module. Each party starts with <X>, <Z> or
+    <X**(p**j), Z**(p**(k-j))> for some 0 < j < k (orders p**(k-j) and p**j,
+    so each site holds p**k elements), and the product state then goes
+    through 5 to 40 random Clifford gates (:func:`random_clifford_step`)."""
+    d = p**k
+    gens = []
+    for site in range(n):
+        kind = int(rng.integers(0, 3)) if k > 1 else int(rng.integers(0, 2))
+        pairs = {0: [(1, 0)], 1: [(0, 1)]}.get(kind)
+        if pairs is None:
+            j = int(rng.integers(1, k))
+            pairs = [(p**j, 0), (0, p ** (k - j))]
+        for x, z in pairs:
+            xs, zs = [0] * n, [0] * n
+            xs[site], zs[site] = x, z
+            gens.append(make_pauli(d, n, 0, xs, zs))
+    g = StabilizerGroup(d, n, tuple(gens))
+    for _ in range(int(rng.integers(5, 41))):
+        g = random_clifford_step(rng, g)
+    return g
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,13 +19,14 @@ from conftest import (
     random_graph_group,
     random_pauli,
     sylow_exponent,
+    symplectic_inner,
 )
 from snf import integer_determinant, matrix_multiply, smith_normal_form
 from stabame.ame import decompose, merge_factors, reduce_ame, verify_ame_symbolic
 from stabame.cli import main as cli_main
 from stabame.errors import FactsError
 from stabame.nogo import default_facts, load_facts, propagate
-from stabame.pauli import multiply, symplectic_inner
+from stabame.pauli import multiply
 from stabame.ring import factorize
 from stabame.search import graph_to_group, search_ame
 from stabame.stabgroup import (

@@ -7,17 +7,19 @@ from conftest import (
     crt_coefficients,
     crt_unitary,
     graph_from_index,
+    non_free_lagrangian,
     permute_levels,
     random_graph,
     random_graph_group,
     ref_x_matrix,
     ref_z_matrix,
+    reference_first_failing_subset,
     single_site,
     states_equal,
     tensor,
     unimodular_mix,
 )
-from enumeration import first_supported_subset
+from enumeration import enumerate_elements, first_supported_subset
 from stabame import ame
 from stabame.ame import (
     decompose,
@@ -27,7 +29,7 @@ from stabame.ame import (
     verify_ame,
     verify_ame_symbolic,
 )
-from stabame.pauli import make_pauli
+from stabame.pauli import make_pauli, multiply, power
 from stabame.ring import factorize, span_order_mod
 from stabame.search import GraphState, graph_to_group, num_edge_slots, search_ame
 from stabame.stabgroup import (
@@ -35,6 +37,7 @@ from stabame.stabgroup import (
     bell_group,
     exponent_matrix,
     factor_group,
+    generator_product,
     ghz_group,
     parse_generator_file,
     validate,
@@ -207,6 +210,82 @@ def test_symbolic_even_n_scans_the_half_holding_party_0(monkeypatch, dimension):
     monkeypatch.setattr(ring, "span_order_mod", counted)
     assert verify_ame_symbolic(g).is_ame
     assert len(calls) == 10  # C(6, 3) / 2
+
+
+# Two generators mixed by [[a, b], [b, a]], unimodular mod D with a and b
+# non-units: party 0's X column then holds no unit in any row.
+NO_UNIT_MIX = {6: (2, 3), 10: (2, 5), 12: (3, 4)}
+
+
+def _no_unit_mix(g):
+    a, b = NO_UNIT_MIX[g.dimension]
+    k = len(g.generators)
+    first = [a, b, *[0] * (k - 2)]
+    second = [b, a, *[0] * (k - 2)]
+    mixed = (generator_product(g, first), generator_product(g, second), *g.generators[2:])
+    return StabilizerGroup(g.dimension, g.parties, mixed)
+
+
+def _with_dependent_generators(rng, g):
+    """The same group with a random product of its generators and a square
+    of one appended: both are dependent, so relations exist mod D."""
+    d, k = g.dimension, len(g.generators)
+    product = generator_product(g, [int(c) for c in rng.integers(0, d, k)])
+    square = power(g.generators[int(rng.integers(0, k))], 2)
+    return StabilizerGroup(d, g.parties, (*g.generators, product, square))
+
+
+def _echelon_sweep_groups(rng):
+    """(group, valid) pairs on which the unit-pivot echelon leaves residual
+    blocks: GHZ, dependent generators, no-unit columns at composite D, and
+    non-free Lagrangians over Z_4, Z_8 and Z_9, all valid; plus relatives
+    without their first generator or with a phase-poisoned copy of it, of
+    validity None (the poisoned ones are invalid, a dropped generator may be
+    redundant)."""
+    groups = []
+    for d, n in [(2, 5), (4, 4), (6, 3), (10, 3), (12, 3), (3, 6)]:
+        groups += [ghz_group(d, n), unimodular_mix(rng, ghz_group(d, n))]
+    for d, n in [(2, 4), (4, 3), (6, 3), (9, 3), (12, 2)]:
+        groups.append(_with_dependent_generators(rng, random_graph_group(rng, d, n)))
+    for d in NO_UNIT_MIX:
+        groups.append(_no_unit_mix(graph_to_group(_ame_graph(rng, d, 3))))
+        for n in (2, 3):
+            base = _no_unit_mix(random_graph_group(rng, d, n))
+            groups += [base, _with_dependent_generators(rng, base)]
+    groups.append(_no_unit_mix(random_graph_group(rng, 6, 4)))
+    for p, k in [(2, 2), (2, 3), (3, 2)]:
+        for n in (2, 3, 4):
+            count = 1 if (p**k) ** n > 1_000 else 3
+            groups += [non_free_lagrangian(rng, p, k, n) for _ in range(count)]
+    out = [(g, True) for g in groups]
+    for g in groups[::3]:
+        if g.dimension**g.parties <= 1_000:
+            dropped = StabilizerGroup(g.dimension, g.parties, g.generators[1:])
+            poisoned = (multiply(make_pauli(g.dimension, g.parties, 2), g.generators[0]),)
+            out.append((dropped, None))
+            out.append((StabilizerGroup(g.dimension, g.parties, g.generators + poisoned), False))
+    return out
+
+
+def test_echelon_scan_and_validation_match_the_references():
+    rng = np.random.default_rng(131)
+    residual_blocks = 0
+    for g, valid in _echelon_sweep_groups(rng):
+        report = validate(g)
+        if valid is not None:
+            assert report.stabilizes_unique_state == valid, g
+        if g.dimension**g.parties <= 5_000:
+            elements = enumerate_elements(g).elements
+            assert report.order == len({(e.x_exp, e.z_exp) for e in elements}), g
+            consistent = not any(e.is_phase_only() and e.phase_exp for e in elements)
+            assert report.phase_consistent == consistent, g
+        if valid:
+            verdict = verify_ame_symbolic(g)
+            subset = reference_first_failing_subset(g)
+            assert verdict.worst_subset == subset, g
+            assert verdict.is_ame == (subset is None), g
+            residual_blocks += None in g.echelon[0]
+    assert residual_blocks >= 20  # rows without a unit pivot reach the scan
 
 
 def _first_failing_subset_of_a_full_scan(g):

@@ -375,8 +375,10 @@ def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
     from stabame import ame, ring
 
     calls = []
+    echelons = []
     synthesized = []
     real_kernel = ring.kernel_mod
+    real_echelon = ring.unit_echelon_mod
     real_synthesis = ame.state_from_group
 
     def counted_kernel(rows, d):
@@ -402,23 +404,34 @@ def test_verify_validates_and_factors_each_group_once(tmp_path, monkeypatch):
         return state
 
     monkeypatch.setattr(ring, "kernel_mod", counted_kernel)
+    monkeypatch.setattr(
+        ring, "unit_echelon_mod", lambda m, d: echelons.append(1) or real_echelon(m, d)
+    )
     monkeypatch.setattr(ame, "state_from_group", counted_synthesis)
     ame_file = tmp_path / "bell.gens"
     run(["construct", "bell", "--dim", "6", "--out", str(ame_file)])
     assert run(["verify", str(ame_file), "--method", "both", "--out", str(tmp_path / "a")]) == 0
-    assert len(calls) == 1  # validation only: no transform per subset
+    # one echelon serves validation and the scan; independent generators
+    # have no relations to find, so no transform is computed
+    assert len(echelons) == 1 and len(calls) == 0
     assert len(synthesized) == 1
     not_ame = tmp_path / "prod.gens"
     not_ame.write_text("6 2 2\n0 | 0 0 | 1 0\n0 | 0 0 | 0 1\n")
     assert run(["verify", str(not_ame), "--method", "both", "--out", str(tmp_path / "b")]) == 1
-    assert len(calls) == 3  # validation and the witness of the first failing subset
+    assert len(echelons) == 2
+    assert calls == [([[0, 0], [0, 1]], 6)]  # the witness of the first failing subset {0}
     assert len(synthesized) == 2
     graph = tmp_path / "graph.gens"
     run(["construct", "graph", "--dim", "6", "--adjacency", "1", "--out", str(graph)])
     assert run(["verify", str(graph), "--method", "both", "--out", str(tmp_path / "c")]) == 0
-    assert len(calls) == 4
+    assert len(echelons) == 3 and len(calls) == 1
+    redundant = tmp_path / "redundant.gens"
+    redundant.write_text(graph.read_text().replace("6 2 2", "6 2 3") + "0 | 2 0 | 0 2\n")
+    assert run(["verify", str(redundant), "--method", "both", "--out", str(tmp_path / "d")]) == 0
+    # dependent generators: one elimination with the transform finds the relation
+    assert len(echelons) == 4 and len(calls) == 2
     # the Bell and product X rows have relations, the graph's identity rows none
-    assert synthesized == [2, 2, 1]
+    assert synthesized == [2, 2, 1, 2]
 
 
 def test_main_dispatches_through_the_module_names(monkeypatch):

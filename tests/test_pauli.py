@@ -8,6 +8,7 @@ from conftest import (
     ref_x_matrix,
     ref_z_matrix,
     single_site,
+    symplectic_inner,
     vector_action,
 )
 from stabame.errors import BudgetExceededError
@@ -18,7 +19,6 @@ from stabame.pauli import (
     multiply,
     parse_pauli,
     power,
-    symplectic_inner,
 )
 
 ALG_TOL = 1e-12

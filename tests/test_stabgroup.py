@@ -11,11 +11,13 @@ from conftest import (
     sylow_component,
     sylow_exponent,
     sylow_then_project,
+    symplectic_inner,
     unimodular_mix,
 )
 from enumeration import enumerate_elements
 from stabame import stabgroup
-from stabame.pauli import PauliProduct, make_pauli, multiply, power, symplectic_inner
+from stabame.ame import verify_ame_symbolic
+from stabame.pauli import PauliProduct, make_pauli, multiply, power
 from stabame.ring import factorize
 from stabame.stabgroup import (
     StabilizerGroup,
@@ -99,15 +101,25 @@ def test_group_order_bit_bound():
 def test_validity_is_computed_once_per_group(monkeypatch):
     from stabame import ring
 
-    calls = []
-    real = ring.kernel_mod
-    monkeypatch.setattr(ring, "kernel_mod", lambda m, d: calls.append(1) or real(m, d))
-    g = ghz_group(6, 3)
+    echelons, kernels = [], []
+    real_echelon, real_kernel = ring.unit_echelon_mod, ring.kernel_mod
+    monkeypatch.setattr(
+        ring, "unit_echelon_mod", lambda m, d: echelons.append(1) or real_echelon(m, d)
+    )
+    monkeypatch.setattr(ring, "kernel_mod", lambda m, d: kernels.append(1) or real_kernel(m, d))
+    g = ghz_group(6, 4)
     first = validate(g)
     assert validate(g) is first and g.validity is first
-    assert len(calls) == 1
+    # one echelon per group object, which the AME scan reads too; the
+    # generators are independent, so there are no relations to compute
+    assert len(echelons) == 1 and len(kernels) == 0
+    assert not verify_ame_symbolic(g).is_ame and len(echelons) == 1
+    assert len(kernels) == 1  # the witness of the first failing subset
     # an equal but distinct group object computes its own report
-    assert validate(ghz_group(6, 3)) == first and len(calls) == 2
+    assert validate(ghz_group(6, 4)) == first and len(echelons) == 2
+    # a dependent generator (the square of the first) needs the relations
+    dependent = StabilizerGroup(6, 4, (*g.generators, power(g.generators[0], 2)))
+    assert validate(dependent) == first and len(echelons) == 3 and len(kernels) == 2
 
 
 def test_validate_order_matches_enumeration_random():
